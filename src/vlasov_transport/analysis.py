@@ -298,19 +298,23 @@ def pde_residual(solution: SolutionHistory, density_floor: float = 1e-10):
         raise ValueError("residuals need at least three time levels")
     grid = solution.grid
     dt = solution.dt
-    f = np.stack([lv.values for lv in solution.f_levels])
+    f = [lv.values for lv in solution.f_levels]
     b = np.stack([lv.values for lv in solution.b_levels])
     rho = np.stack([density_moment(lv).values for lv in solution.f_levels])
 
-    interior = f[1:-1, 1:-1, 1:-1]
-    dtf = (f[2:, 1:-1, 1:-1] - f[:-2, 1:-1, 1:-1]) / (2.0 * dt)
-    dxf = (f[1:-1, 2:, 1:-1] - f[1:-1, :-2, 1:-1]) / (2.0 * grid.dx)
-    dvf = (f[1:-1, 1:-1, 2:] - f[1:-1, 1:-1, :-2]) / (2.0 * grid.dv)
-    res_f = dtf + grid.v_nodes[None, None, 1:-1] * dxf \
-        + b[1:-1, 1:-1, None] * dvf
-    carrying = np.abs(interior) > density_floor
-    density_res = float(np.max(np.abs(res_f[carrying]))) if carrying.any() \
-        else 0.0
+    # Level by level, so no temporary spans all levels of the lattice.
+    v_inner = grid.v_nodes[None, 1:-1]
+    level_res = []
+    for k in range(1, len(f) - 1):
+        interior = f[k][1:-1, 1:-1]
+        dtf = (f[k + 1][1:-1, 1:-1] - f[k - 1][1:-1, 1:-1]) / (2.0 * dt)
+        dxf = (f[k][2:, 1:-1] - f[k][:-2, 1:-1]) / (2.0 * grid.dx)
+        dvf = (f[k][1:-1, 2:] - f[k][1:-1, :-2]) / (2.0 * grid.dv)
+        res_f = dtf + v_inner * dxf + b[k, 1:-1, None] * dvf
+        carrying = np.abs(interior) > density_floor
+        if carrying.any():
+            level_res.append(np.max(np.abs(res_f[carrying])))
+    density_res = float(np.max(level_res)) if level_res else 0.0
 
     dtb = (b[2:, 1:-1] - b[:-2, 1:-1]) / (2.0 * dt)
     dxb = (b[1:-1, 2:] - b[1:-1, :-2]) / (2.0 * grid.dx)

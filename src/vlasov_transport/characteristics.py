@@ -86,10 +86,11 @@ class AnalyticFieldHistory:
 class LatticeFieldHistory:
     """Field levels on a shared spatial axis at uniform time spacing.
 
-    eval(s, x) interpolates linearly between the two bracketing levels and
-    cubically along x.  Queries outside the spatial axis raise
-    DomainExitError: a trajectory that leaves the truncated domain cannot
-    be integrated further, the domain was sized too small.
+    eval(s, x) blends the two bracketing levels linearly in time and
+    interpolates the blended profile cubically along x.  Queries outside
+    the spatial axis raise DomainExitError: a trajectory that leaves the
+    truncated domain cannot be integrated further, the domain was sized
+    too small.
     """
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, dt: float,
@@ -134,12 +135,12 @@ class LatticeFieldHistory:
         pos = min(max(pos, 0.0), float(levels - 1))
         k = min(int(pos), levels - 2) if levels > 1 else 0
         theta = pos - k
-        x0, dx = self.grid.x_min, self.grid.dx
-        lower = interp_profile(x0, dx, self.values[k], x)
-        if theta == 0.0:
-            return lower
-        upper = interp_profile(x0, dx, self.values[k + 1], x)
-        return (1.0 - theta) * lower + theta * upper
+        # The interpolant is linear in the node values, so blending the
+        # two levels first costs one lookup instead of two.
+        row = self.values[k]
+        if theta != 0.0:
+            row = (1.0 - theta) * row + theta * self.values[k + 1]
+        return interp_profile(self.grid.x_min, self.grid.dx, row, x)
 
 
 def _rk4_step(x, v, s, ds, field):

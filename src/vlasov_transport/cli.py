@@ -6,9 +6,11 @@ every key has a default so the empty document is a valid config.  A run
 builds the grid and initial data, solves with the selected engine(s),
 writes the per-level diagnostics trace, the enabled diagnostic tables,
 requested binary snapshots, and a JSON summary with a pass/fail verdict
-for every invariant check.  The process exit status is nonzero exactly
-when an enabled check fails.  Outputs are deterministic: running the same
-config twice produces byte-identical files.
+for every invariant check.  The process exits 0 when every enabled check
+passes, 1 when one fails, 2 on a bad config or input file, and 3 when an
+engine aborts because a trajectory left the spatial axis.  Outputs are
+deterministic: running the same config twice produces byte-identical
+files.
 
 Subcommands:
 
@@ -36,8 +38,8 @@ from .analysis import (DiagnosticsTrace, compute_diagnostics,
                        transform_field_level, transform_rectangle)
 from .field_solve import (conservative_data_constant, cumtrapz_uniform,
                           field_derivative_bound_check, field_sup_bound_check)
-from .phase_space import (DensityField, InitialDataSpec, TransportField,
-                          build_phase_grid)
+from .phase_space import (DensityField, DomainExitError, InitialDataSpec,
+                          TransportField, build_phase_grid)
 from .snapshot import read_snapshot, write_snapshot
 from .solver import majorant_existence_time, solve_direct, solve_picard
 
@@ -287,16 +289,22 @@ def _run_engines(config: RunConfig):
     grid = config.grid()
     results = {}
     picard_trace = None
-    if config.engine in ("picard", "both"):
-        history, picard_trace = solve_picard(
-            spec, grid, config.t_final, config.dt, tol=config.picard_tol,
-            max_iter=config.picard_max_iter,
-            monotone=config.interp_monotone)
-        results["picard"] = history
-    if config.engine in ("direct", "both"):
-        results["direct"] = solve_direct(spec, grid, config.t_final,
-                                         config.dt,
-                                         monotone=config.interp_monotone)
+    engine = None
+    try:
+        if config.engine in ("picard", "both"):
+            engine = "picard"
+            history, picard_trace = solve_picard(
+                spec, grid, config.t_final, config.dt, tol=config.picard_tol,
+                max_iter=config.picard_max_iter,
+                monotone=config.interp_monotone)
+            results["picard"] = history
+        if config.engine in ("direct", "both"):
+            engine = "direct"
+            results["direct"] = solve_direct(spec, grid, config.t_final,
+                                             config.dt,
+                                             monotone=config.interp_monotone)
+    except DomainExitError as exc:
+        raise DomainExitError(f"{engine} engine: {exc}") from exc
     return spec, results, picard_trace
 
 
@@ -584,6 +592,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DomainExitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

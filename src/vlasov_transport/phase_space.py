@@ -9,13 +9,18 @@ exact initial state at arbitrary off-grid points.
 
 Interpolation is piecewise cubic with a 4-point Lagrange stencil per axis.
 It reproduces polynomials of degree <= 3 per axis exactly and returns the
-stored value bitwise when queried at a node.  Queries outside a density
-lattice read as zero (densities are compactly supported with a two-cell
-zero collar); queries outside a force-field profile are an error, because
-the field has no meaningful extension beyond the truncated domain.  A
-monotone-clipped variant limits each result to the range of the enclosing
-cell's corner values, which preserves sign and sup bounds at the cost of
-formal order.
+stored value bitwise when queried at a node.  Profiles are evaluated in
+per-cell power form: each call builds a (4, n) table of cubic
+coefficients from finite differences of the node values, then evaluates
+every query with one cell lookup, four gathers and Horner's rule.
+Lattices keep the Lagrange weights per query, since a 16-coefficient
+table per cell would cost more to build than it saves.  Queries outside
+a density lattice read as zero (densities are compactly supported with a
+two-cell zero collar); queries outside a force-field profile are an
+error, because the field has no meaningful extension beyond the
+truncated domain.  A monotone-clipped variant limits each result to the
+range of the enclosing cell's corner values, which preserves sign and sup
+bounds at the cost of formal order.
 """
 
 from __future__ import annotations
@@ -459,6 +464,35 @@ def _stencil(coord: np.ndarray, n: int):
     return cell, start, (w0, w1, w2, w3)
 
 
+def _cubic_table(values: np.ndarray) -> np.ndarray:
+    """Per-cell power-form coefficients of the 4-point Lagrange cubic.
+
+    Column c holds (a0, a1, a2, a3) with p(t) = a0 + t (a1 + t (a2 + t a3))
+    in the local coordinate t = coord - c, for the stencil of _stencil:
+    nodes c-1..c+2, clipped to 0..3 in cell 0 and to n-4..n-1 in cell n-2.
+    In finite differences a3 is the stencil's third difference over 6, a2
+    is the centred second difference at node c over 2 (less 3 a3 in cell
+    0, whose stencil is one-sided), and a1 follows from p(1) = values[c+1].
+    Row 0 is the node values themselves, so t = 0 reads the stored node
+    bitwise; the last column is the constant at node n-1, so a query on
+    the last node reads back bitwise too.
+    """
+    n = values.shape[0]
+    table = np.zeros((4, n))
+    table[0] = values
+    a1, a2, a3 = table[1, :-1], table[2, :-1], table[3, :-1]
+    d = values[1:] - values[:-1]
+    dd = d[1:] - d[:-1]
+    np.multiply(dd, 0.5, out=a2[1:])
+    np.subtract(dd[1:], dd[:-1], out=a3[1:-1])
+    a3[1:-1] /= 6.0
+    a3[0], a3[-1] = a3[1], a3[-2]
+    a2[0] = a2[1] - 3.0 * a3[0]
+    np.subtract(d, a2, out=a1)
+    a1 -= a3
+    return table
+
+
 def interp_profile(x0: float, dx: float, values: np.ndarray, xq,
                    out_of_range: str = "error", monotone: bool = False):
     """Cubic interpolation of a 1D profile at query points xq.
@@ -470,26 +504,44 @@ def interp_profile(x0: float, dx: float, values: np.ndarray, xq,
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
     q = np.atleast_1d(xq)
-    coord = (q - x0) / dx
-    outside = (coord < -_RANGE_SLACK) | (coord > (n - 1) + _RANGE_SLACK)
-    if np.any(outside):
+    coord = q - x0
+    coord /= dx
+    outside = None
+    if coord.min() < -_RANGE_SLACK or coord.max() > (n - 1) + _RANGE_SLACK:
+        outside = (coord < -_RANGE_SLACK) | (coord > (n - 1) + _RANGE_SLACK)
         if out_of_range == "error":
             worst = q[outside]
             raise DomainExitError(
                 f"profile query outside [{x0}, {x0 + (n - 1) * dx}]: "
                 f"min {worst.min():.6g}, max {worst.max():.6g}")
         coord = np.clip(coord, 0.0, float(n - 1))
-    else:
-        coord = np.clip(coord, 0.0, float(n - 1))
-    cell, start, weights = _stencil(coord, n)
-    out = np.zeros_like(coord)
-    for k, w in enumerate(weights):
-        out += w * values[start + k]
+    # Cell and local coordinate, with positions within _NODE_SNAP of a node
+    # snapped onto it (t = 0), so node queries read the stored value.  The
+    # range slack is below the snap width, so every cell lands in [0, n-1].
+    cell_f = coord + _NODE_SNAP
+    np.floor(cell_f, out=cell_f)
+    t = coord
+    t -= cell_f
+    np.copyto(t, 0.0, where=t <= _NODE_SNAP)
+    cell = cell_f.astype(np.int64)
+    # Horner on four gathers; mode="clip" only acts on NaN queries, which
+    # then read NaN.
+    a0, a1, a2, a3 = _cubic_table(values)
+    out = a3.take(cell, mode="clip")
+    out *= t
+    gathered = a2.take(cell, mode="clip")
+    out += gathered
+    out *= t
+    a1.take(cell, out=gathered, mode="clip")
+    out += gathered
+    out *= t
+    a0.take(cell, out=gathered, mode="clip")
+    out += gathered
     if monotone:
-        lo = np.minimum(values[cell], values[cell + 1])
-        hi = np.maximum(values[cell], values[cell + 1])
-        out = np.clip(out, lo, hi)
-    if out_of_range == "zero":
+        left = values.take(cell, mode="clip")
+        right = np.append(values[1:], values[-1]).take(cell, mode="clip")
+        out = np.clip(out, np.minimum(left, right), np.maximum(left, right))
+    if outside is not None and out_of_range == "zero":
         out = np.where(outside, 0.0, out)
     return out[0] if scalar else out.reshape(xq.shape)
 

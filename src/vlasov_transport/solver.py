@@ -229,7 +229,6 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
                             for k in range(n_levels)])
     else:
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
-    f_stack = np.tile(f0_field.values[None, :, :], (n_levels, 1, 1))
     field_diffs = []
     density_diffs = []
     converged = False
@@ -238,14 +237,18 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
                 for k in range(n_levels)]
     for _ in range(max_iter):
         prev = LatticeFieldHistory(grid, b_stack, dt)
+        prev_f = f_levels
         f_levels, b_levels = picard_step(prev, f0, b0, grid, n_levels, dt,
                                          monotone=monotone,
                                          substeps_per_dt=substeps_per_dt)
         new_b = np.stack([b.values for b in b_levels])
-        new_f = np.stack([f.values for f in f_levels])
         field_diffs.append(float(np.max(np.abs(new_b - b_stack))))
-        density_diffs.append(float(np.max(np.abs(new_f - f_stack))))
-        b_stack, f_stack = new_b, new_f
+        # Level by level: a max of per-level maxima is the same number,
+        # without two (levels, nx, nv) copies of the density.
+        density_diffs.append(float(np.max(
+            [np.max(np.abs(new.values - old.values))
+             for new, old in zip(f_levels, prev_f)])))
+        b_stack = new_b
         if max(field_diffs[-1], density_diffs[-1]) < tol:
             converged = True
             break

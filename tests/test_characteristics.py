@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vlasov_transport.characteristics import (AnalyticFieldHistory, CharState,
                                               LatticeFieldHistory,
@@ -11,7 +13,7 @@ from vlasov_transport.characteristics import (AnalyticFieldHistory, CharState,
                                               trace_backward_sampled,
                                               trace_states)
 from vlasov_transport.phase_space import (DomainExitError, TransportField,
-                                          build_phase_grid)
+                                          build_phase_grid, interp_profile)
 
 
 def test_constant_field_single_step():
@@ -127,6 +129,28 @@ def test_lattice_history_time_interpolation():
     np.testing.assert_array_equal(hist.eval(1.5, grid.x_nodes), upper)
     mid = hist.eval(1.25, grid.x_nodes)
     np.testing.assert_allclose(mid, 0.5 * (lower + upper), atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(4, 33), st.floats(1e-6, 1.0 - 1e-6),
+       st.data())
+def test_lattice_history_blend_matches_two_level_form(levels, nx, theta,
+                                                      data):
+    grid = build_phase_grid(-1.5, 2.0, 0.0, 1.0, nx, 4)
+    values = data.draw(arrays(np.float64, (levels, nx),
+                              elements=st.floats(-1e3, 1e3)))
+    k = data.draw(st.integers(0, levels - 2))
+    xq = data.draw(arrays(np.float64, st.integers(1, 40),
+                          elements=st.floats(grid.x_min, grid.x_max)))
+    hist = LatticeFieldHistory(grid, values, 0.25)
+    pos = k + theta
+    got = hist.eval(0.25 * pos, xq)
+    # one lookup of the blended row against the blend of two lookups
+    lower, upper = (interp_profile(grid.x_min, grid.dx, values[j], xq)
+                    for j in (k, k + 1))
+    want = (1.0 - (pos - k)) * lower + (pos - k) * upper
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 def test_lattice_history_out_of_range():

@@ -221,6 +221,19 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("engine", ["direct", "picard"])
+def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
+                                                   engine):
+    # a uniform push of 2 drives the fast bump off a short x-axis
+    cfg = tmp_path / "exit.cfg"
+    cfg.write_text("x_min = -1.2\nx_max = 1.2\nb0_family = uniform\n"
+                   "b0_amplitude = 2\nf0_center_v = 1.5\nT = 2\n"
+                   f"engine = {engine}\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {engine} engine: profile query outside")
+
+
 def test_main_majorant_json(capsys):
     assert main(["majorant", "--C", "1.0", "--cap", "1e6"]) == 0
     payload = json.loads(capsys.readouterr().out)

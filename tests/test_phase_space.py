@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           DensityField, DomainExitError,
@@ -11,6 +13,7 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
                                           interpolate, sample_initial_data)
+from vlasov_transport.phase_space import _NODE_SNAP, _stencil
 
 
 def test_grid_spacing_and_nodes():
@@ -274,3 +277,83 @@ def test_interpolate_dispatch():
         interpolate(b, 0.5, 0.5)
     with pytest.raises(DomainExitError):
         interpolate(b, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# properties of the per-cell power-form kernel behind interp_profile
+
+node_values = st.integers(4, 40).flatmap(lambda n: arrays(
+    np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+origins = st.floats(-10.0, 10.0)
+spacings = st.floats(1e-3, 10.0)
+cell_fractions = arrays(np.float64, st.integers(1, 50),
+                        elements=st.floats(0.0, 1.0))
+
+
+def _lagrange_profile(x0, dx, values, xq):
+    # the 4-point Lagrange form the kernel's coefficient table stands for
+    n = values.shape[0]
+    coord = np.clip((xq - x0) / dx, 0.0, float(n - 1))
+    _, start, weights = _stencil(coord, n)
+    return sum(w * values[start + k] for k, w in enumerate(weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_values, origins, spacings, cell_fractions)
+def test_profile_kernel_matches_lagrange_form(values, x0, dx, fractions):
+    xq = x0 + dx * (fractions * (values.size - 1))
+    got = interp_profile(x0, dx, values, xq)
+    want = _lagrange_profile(x0, dx, values, xq)
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 30), arrays(np.float64, 4, elements=st.floats(-10, 10)),
+       cell_fractions)
+def test_profile_kernel_reproduces_cubics(n, coeffs, fractions):
+    def p(x):
+        return ((coeffs[3] * x + coeffs[2]) * x + coeffs[1]) * x + coeffs[0]
+
+    values = p(np.arange(float(n)))
+    xq = fractions * (n - 1)
+    # queries within the snap width of a node read the node
+    nearest = np.rint(xq)
+    snapped = np.where(np.abs(xq - nearest) <= _NODE_SNAP, nearest, xq)
+    tol = 1e-12 * (1.0 + np.max(np.abs(values)))
+    got = interp_profile(0.0, 1.0, values, xq)
+    assert np.max(np.abs(got - p(snapped))) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_values, origins, spacings, st.data())
+def test_profile_kernel_node_queries_are_bitwise(values, x0, dx, data):
+    n = values.size
+    # float noise below the snap width, pointing inward at the two ends so
+    # the queries stay on the axis
+    noise = data.draw(arrays(np.float64, n, elements=st.floats(
+        -0.5 * _NODE_SNAP, 0.5 * _NODE_SNAP)))
+    noise[0], noise[-1] = abs(noise[0]), -abs(noise[-1])
+    nodes = x0 + dx * np.arange(float(n))
+    assert np.array_equal(interp_profile(x0, dx, values, nodes), values)
+    noisy = x0 + dx * (np.arange(float(n)) + noise)
+    assert np.array_equal(interp_profile(x0, dx, values, noisy), values)
+    last = x0 + dx * (n - 1)
+    assert interp_profile(x0, dx, values, last) == values[-1]
+    assert interp_profile(x0, dx, values, last, monotone=True) == values[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_values, origins, spacings, cell_fractions)
+def test_profile_kernel_monotone_stays_in_cell_range(values, x0, dx,
+                                                     fractions):
+    n = values.size
+    xq = x0 + dx * (fractions * (n - 1))
+    got = interp_profile(x0, dx, values, xq, monotone=True)
+    cell = np.clip(np.floor((xq - x0) / dx), 0, n - 2).astype(int)
+    lo = np.minimum(values[cell], values[cell + 1])
+    hi = np.maximum(values[cell], values[cell + 1])
+    assert np.all((lo <= got) & (got <= hi))
+    # and it is the plain cubic clipped, nothing more
+    plain = interp_profile(x0, dx, values, xq)
+    assert np.array_equal(got, np.clip(plain, lo, hi))
