@@ -138,8 +138,7 @@ def compute_diagnostics(solution: SolutionHistory,
     return DiagnosticsTrace(times=solution.times, **out)
 
 
-def derivative_rep_check(solution: SolutionHistory, t: float,
-                         substeps_per_dt: int = 1):
+def derivative_rep_check(solution: SolutionHistory, t: float):
     """Compare lattice derivatives of f(t) against their path-integral form.
 
     Along the backward characteristics,
@@ -174,8 +173,7 @@ def derivative_rep_check(solution: SolutionHistory, t: float,
     xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
     vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
     sample_times = dt * np.arange(m, -1, -1)
-    xs, vs = trace_backward_sampled(xg, vg, t, sample_times, hist,
-                                    substeps_per_dt)
+    xs, vs = trace_backward_sampled(xg, vg, t, sample_times, hist)
     xs, vs = xs[::-1], vs[::-1]      # ascending level order 0..m
 
     gx = np.empty((m + 1, xg.size))

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .phase_space import PhaseGrid, TransportField, interp_profile
+from .phase_space import (DomainExitError, PhaseGrid, TransportField,
+                          _cubic_table, interp_profile)
 
 __all__ = [
     "CharState",
@@ -87,10 +88,14 @@ class LatticeFieldHistory:
     """Field levels on a shared spatial axis at uniform time spacing.
 
     eval(s, x) blends the two bracketing levels linearly in time and
-    interpolates the blended profile cubically along x.  Queries outside
-    the spatial axis raise DomainExitError: a trajectory that leaves the
-    truncated domain cannot be integrated further, the domain was sized
-    too small.
+    interpolates the blended profile cubically along x.  The history keeps
+    a read-only copy of its levels and builds the power-form tables of
+    every level and of every halfway blend once, at construction.  A time
+    on a level or halfway between two reads its table; any other time
+    builds the table of its blend.  Queries outside the spatial axis
+    raise DomainExitError, with the time appended: a trajectory that
+    leaves the truncated domain cannot be integrated further, the domain
+    was sized too small.
     """
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, dt: float,
@@ -102,10 +107,18 @@ class LatticeFieldHistory:
             raise ValueError("history needs at least one level")
         if dt <= 0:
             raise ValueError("level spacing must be positive")
+        # Column a0 of a power-form table is the node values, so the
+        # tables double as the history's own read-only copy of its levels.
+        self._tables = _cubic_table(values)
+        self._tables.setflags(write=False)
         self.grid = grid
-        self.values = values
+        self.values = self._tables[..., 0]
         self.dt = float(dt)
         self.t0 = float(t0)
+        # The blends at theta = 1/2, where the two middle stages of an RK4
+        # step of one level spacing land.
+        self._half_tables = _cubic_table(0.5 * self.values[:-1]
+                                         + 0.5 * self.values[1:])
 
     @classmethod
     def from_fields(cls, fields: Sequence[TransportField],
@@ -137,10 +150,18 @@ class LatticeFieldHistory:
         theta = pos - k
         # The interpolant is linear in the node values, so blending the
         # two levels first costs one lookup instead of two.
-        row = self.values[k]
-        if theta != 0.0:
-            row = (1.0 - theta) * row + theta * self.values[k + 1]
-        return interp_profile(self.grid.x_min, self.grid.dx, row, x)
+        if theta == 0.0:
+            table = self._tables[k]
+        elif theta == 0.5:
+            table = self._half_tables[k]
+        else:
+            table = _cubic_table((1.0 - theta) * self.values[k]
+                                 + theta * self.values[k + 1])
+        try:
+            return interp_profile(self.grid.x_min, self.grid.dx, None, x,
+                                  table=table)
+        except DomainExitError as exc:
+            raise DomainExitError(f"{exc} at t = {s:.6g}") from exc
 
 
 def _rk4_step(x, v, s, ds, field):

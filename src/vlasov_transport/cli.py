@@ -8,7 +8,8 @@ writes the per-level diagnostics trace, the enabled diagnostic tables,
 requested binary snapshots, and a JSON summary with a pass/fail verdict
 for every invariant check.  The process exits 0 when every enabled check
 passes, 1 when one fails, 2 on a bad config or input file, and 3 when an
-engine aborts because a trajectory left the spatial axis.  Outputs are
+engine aborts because a trajectory left the spatial axis; an aborted run
+still writes a summary.json that records the abort.  Outputs are
 deterministic: running the same config twice produces byte-identical
 files.
 
@@ -358,12 +359,17 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
 
     out_dir overrides config.out_dir when given.  Returns the artifact
     listing with the outcome of every enabled check; raises on config,
-    hypothesis, or domain errors.
+    hypothesis, or domain errors.  A domain error first leaves a
+    summary.json with "ok": false and its message under "aborted".
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _padding_advisory(config)
-    spec, results, picard_trace = _run_engines(config)
+    try:
+        spec, results, picard_trace = _run_engines(config)
+    except DomainExitError as exc:
+        _write_summary(out, {"aborted": str(exc), "ok": False})
+        raise
     checks: dict = {}
     info: dict = {}
     files: list = []
@@ -482,11 +488,14 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
         "files": sorted(str(p.relative_to(out)) for p in files),
         "ok": ok,
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True)
-                            + "\n")
-    files.append(summary_path)
+    files.append(_write_summary(out, summary))
     return RunArtifacts(out, checks, info, tuple(files), ok)
+
+
+def _write_summary(out: Path, summary: dict) -> Path:
+    path = out / "summary.json"
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------

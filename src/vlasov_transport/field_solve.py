@@ -18,12 +18,13 @@ raises when evaluated beyond its truncation range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .phase_space import (DensityField, PhaseGrid, TransportField, _freeze,
-                          interp_profile)
+from .phase_space import (DensityField, PhaseGrid, TransportField,
+                          _cubic_table, _freeze, interp_profile)
 
 __all__ = [
     "MomentProfile",
@@ -72,10 +73,17 @@ class MomentProfile:
         if self.values.shape != (self.grid.nx,):
             raise ValueError("moment profile shape does not match grid x-axis")
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        # Built on the first lookup and kept: a moment level is read by
+        # every later field rebuild of a Picard sweep.
+        return _cubic_table(self.values)
+
     def at(self, x, monotone: bool = False):
         # Zero outside the axis: the moment inherits compact support.
-        return interp_profile(self.grid.x_min, self.grid.dx, self.values, x,
-                              out_of_range="zero", monotone=monotone)
+        return interp_profile(self.grid.x_min, self.grid.dx, None, x,
+                              out_of_range="zero", monotone=monotone,
+                              table=self._table)
 
 
 def density_moment(f: DensityField) -> MomentProfile:

@@ -10,17 +10,20 @@ exact initial state at arbitrary off-grid points.
 Interpolation is piecewise cubic with a 4-point Lagrange stencil per axis.
 It reproduces polynomials of degree <= 3 per axis exactly and returns the
 stored value bitwise when queried at a node.  Profiles are evaluated in
-per-cell power form: each call builds a (4, n) table of cubic
-coefficients from finite differences of the node values, then evaluates
-every query with one cell lookup, four gathers and Horner's rule.
-Lattices keep the Lagrange weights per query, since a 16-coefficient
-table per cell would cost more to build than it saves.  Queries outside
-a density lattice read as zero (densities are compactly supported with a
-two-cell zero collar); queries outside a force-field profile are an
-error, because the field has no meaningful extension beyond the
-truncated domain.  A monotone-clipped variant limits each result to the
-range of the enclosing cell's corner values, which preserves sign and sup
-bounds at the cost of formal order.
+per-cell power form: an (n, 4) table of cubic coefficients, built from
+finite differences of the node values, turns every query into one cell
+lookup, one gather of the cell's row and Horner's rule.  The table is
+built once per profile: callers that look a profile up repeatedly (field
+histories, moment profiles) build it once and pass it in, and a stack of
+profiles builds all its tables in one call.  Lattices keep the Lagrange
+weights per query, gathered from the flattened lattice, since a
+16-coefficient table per cell would cost more to build than it saves.
+Queries outside a density lattice read as zero (densities are compactly
+supported with a two-cell zero collar); queries outside a force-field
+profile are an error, because the field has no meaningful extension
+beyond the truncated domain.  A monotone-clipped variant limits each
+result to the range of the enclosing cell's corner values, which
+preserves sign and sup bounds at the cost of formal order.
 """
 
 from __future__ import annotations
@@ -467,47 +470,58 @@ def _stencil(coord: np.ndarray, n: int):
 def _cubic_table(values: np.ndarray) -> np.ndarray:
     """Per-cell power-form coefficients of the 4-point Lagrange cubic.
 
-    Column c holds (a0, a1, a2, a3) with p(t) = a0 + t (a1 + t (a2 + t a3))
-    in the local coordinate t = coord - c, for the stencil of _stencil:
-    nodes c-1..c+2, clipped to 0..3 in cell 0 and to n-4..n-1 in cell n-2.
+    Works along the last axis: for values of shape (..., n) it returns
+    shape (..., n, 4), so one call builds every level of a stack.  Row c
+    holds (a0, a1, a2, a3) with p(t) = a0 + t (a1 + t (a2 + t a3)) in the
+    local coordinate t = coord - c, for the stencil of _stencil: nodes
+    c-1..c+2, clipped to 0..3 in cell 0 and to n-4..n-1 in cell n-2.
     In finite differences a3 is the stencil's third difference over 6, a2
     is the centred second difference at node c over 2 (less 3 a3 in cell
     0, whose stencil is one-sided), and a1 follows from p(1) = values[c+1].
-    Row 0 is the node values themselves, so t = 0 reads the stored node
-    bitwise; the last column is the constant at node n-1, so a query on
+    Column a0 is the node values themselves, so t = 0 reads the stored
+    node bitwise; the last row is the constant at node n-1, so a query on
     the last node reads back bitwise too.
     """
-    n = values.shape[0]
-    table = np.zeros((4, n))
-    table[0] = values
-    a1, a2, a3 = table[1, :-1], table[2, :-1], table[3, :-1]
-    d = values[1:] - values[:-1]
-    dd = d[1:] - d[:-1]
-    np.multiply(dd, 0.5, out=a2[1:])
-    np.subtract(dd[1:], dd[:-1], out=a3[1:-1])
-    a3[1:-1] /= 6.0
-    a3[0], a3[-1] = a3[1], a3[-2]
-    a2[0] = a2[1] - 3.0 * a3[0]
+    table = np.zeros(values.shape + (4,))
+    table[..., 0] = values
+    a1, a2, a3 = (table[..., :-1, j] for j in (1, 2, 3))
+    d = values[..., 1:] - values[..., :-1]
+    dd = d[..., 1:] - d[..., :-1]
+    np.multiply(dd, 0.5, out=a2[..., 1:])
+    np.subtract(dd[..., 1:], dd[..., :-1], out=a3[..., 1:-1])
+    a3[..., 1:-1] /= 6.0
+    a3[..., 0], a3[..., -1] = a3[..., 1], a3[..., -2]
+    a2[..., 0] = a2[..., 1] - 3.0 * a3[..., 0]
     np.subtract(d, a2, out=a1)
     a1 -= a3
     return table
 
 
-def interp_profile(x0: float, dx: float, values: np.ndarray, xq,
-                   out_of_range: str = "error", monotone: bool = False):
+def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
+                   out_of_range: str = "error", monotone: bool = False,
+                   table: np.ndarray | None = None):
     """Cubic interpolation of a 1D profile at query points xq.
 
     out_of_range: "error" raises DomainExitError, "zero" reads 0 outside.
+    table: the caller's cached _cubic_table of the profile, for a profile
+    that is looked up more than once.  Pass either values or table: the
+    node values are the table's column a0, and the table is built from
+    values when omitted.
     """
+    if table is not None:
+        if values is not None:
+            raise ValueError("pass the profile's values or its table, "
+                             "not both")
+        values = table[:, 0]
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     xq = np.asarray(xq, dtype=float)
-    scalar = xq.ndim == 0
-    q = np.atleast_1d(xq)
+    q = xq.reshape(-1)
     coord = q - x0
     coord /= dx
     outside = None
-    if coord.min() < -_RANGE_SLACK or coord.max() > (n - 1) + _RANGE_SLACK:
+    if (np.minimum.reduce(coord) < -_RANGE_SLACK
+            or np.maximum.reduce(coord) > (n - 1) + _RANGE_SLACK):
         outside = (coord < -_RANGE_SLACK) | (coord > (n - 1) + _RANGE_SLACK)
         if out_of_range == "error":
             worst = q[outside]
@@ -518,32 +532,30 @@ def interp_profile(x0: float, dx: float, values: np.ndarray, xq,
     # Cell and local coordinate, with positions within _NODE_SNAP of a node
     # snapped onto it (t = 0), so node queries read the stored value.  The
     # range slack is below the snap width, so every cell lands in [0, n-1].
-    cell_f = coord + _NODE_SNAP
-    np.floor(cell_f, out=cell_f)
+    cell = coord + _NODE_SNAP
+    np.floor(cell, out=cell)
     t = coord
-    t -= cell_f
+    t -= cell
     np.copyto(t, 0.0, where=t <= _NODE_SNAP)
-    cell = cell_f.astype(np.int64)
-    # Horner on four gathers; mode="clip" only acts on NaN queries, which
-    # then read NaN.
-    a0, a1, a2, a3 = _cubic_table(values)
-    out = a3.take(cell, mode="clip")
+    cell = cell.astype(np.int64)
+    # Horner on one gather of the cells' rows; mode="clip" only acts on NaN
+    # queries, which then read NaN.
+    if table is None:
+        table = _cubic_table(values)
+    rows = table.take(cell, axis=0, mode="clip")
+    out = rows[:, 3] * t
+    out += rows[:, 2]
     out *= t
-    gathered = a2.take(cell, mode="clip")
-    out += gathered
+    out += rows[:, 1]
     out *= t
-    a1.take(cell, out=gathered, mode="clip")
-    out += gathered
-    out *= t
-    a0.take(cell, out=gathered, mode="clip")
-    out += gathered
+    out += rows[:, 0]
     if monotone:
         left = values.take(cell, mode="clip")
         right = np.append(values[1:], values[-1]).take(cell, mode="clip")
         out = np.clip(out, np.minimum(left, right), np.maximum(left, right))
     if outside is not None and out_of_range == "zero":
         out = np.where(outside, 0.0, out)
-    return out[0] if scalar else out.reshape(xq.shape)
+    return out[0] if xq.ndim == 0 else out.reshape(xq.shape)
 
 
 def interp_lattice(grid: PhaseGrid, values: np.ndarray, xq, vq,
@@ -551,7 +563,9 @@ def interp_lattice(grid: PhaseGrid, values: np.ndarray, xq, vq,
     """Cubic tensor-product interpolation of a density lattice.
 
     Queries outside the grid rectangle read as zero: densities carry their
-    compact support with them, so the zero extension is exact.
+    compact support with them, so the zero extension is exact.  The 16
+    stencil values and the 4 corners of the monotone clip are gathered
+    from the flattened lattice by offsets from each query's stencil start.
     """
     values = np.asarray(values, dtype=float)
     xq = np.asarray(xq, dtype=float)
@@ -567,17 +581,29 @@ def interp_lattice(grid: PhaseGrid, values: np.ndarray, xq, vq,
     cv = np.clip(cv, 0.0, float(grid.nv - 1))
     cell_x, start_x, wx = _stencil(cx, grid.nx)
     cell_v, start_v, wv = _stencil(cv, grid.nv)
+    nv = grid.nv
+    flat = values.reshape(-1)
+    start = start_x * nv + start_v
+    index = np.empty_like(start)
+    gathered = np.empty_like(cx)
     out = np.zeros_like(cx)
     for k in range(4):
-        row = start_x + k
         for l in range(4):
-            out += wx[k] * wv[l] * values[row, start_v + l]
+            np.add(start, k * nv + l, out=index)
+            flat.take(index, out=gathered, mode="clip")
+            out += wx[k] * wv[l] * gathered
     if monotone:
-        corners = np.stack([values[cell_x, cell_v],
-                            values[cell_x + 1, cell_v],
-                            values[cell_x, cell_v + 1],
-                            values[cell_x + 1, cell_v + 1]])
-        out = np.clip(out, corners.min(axis=0), corners.max(axis=0))
+        # running min and max over the corners (i, j), (i+1, j), (i, j+1),
+        # (i+1, j+1) of each query's cell
+        corner = cell_x * nv + cell_v
+        lo = flat.take(corner)
+        hi = lo.copy()
+        for offset in (nv, 1, nv + 1):
+            np.add(corner, offset, out=index)
+            flat.take(index, out=gathered, mode="clip")
+            np.minimum(lo, gathered, out=lo)
+            np.maximum(hi, gathered, out=hi)
+        np.clip(out, lo, hi, out=out)
     out = np.where(outside, 0.0, out)
     out = out.reshape(shape)
     return float(out) if shape == () else out

@@ -55,7 +55,6 @@ __all__ = [
     "PicardTrace",
     "MajorantResult",
     "advect_density",
-    "picard_step",
     "solve_picard",
     "solve_direct",
     "majorant_existence_time",
@@ -143,9 +142,15 @@ def _support_mask(grid: PhaseGrid, box, t: float, b_max: float,
     v_ok = ((grid.v_nodes >= v_lo - grow - pad_v)
             & (grid.v_nodes <= v_hi + grow + pad_v))
     wiggle = t * t * b_max * (1.0 + 1e-9) + pad_cells * grid.dx + 1e-12
-    foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, :]
-    x_ok = (foot + wiggle >= x_lo) & (foot - wiggle <= x_hi)
-    return x_ok & v_ok[None, :]
+    mask = np.zeros((grid.nx, grid.nv), dtype=bool)
+    # v_ok is one run of columns (the v-nodes increase); the x-window is
+    # only worked out there.
+    cols = np.flatnonzero(v_ok)
+    if cols.size:
+        band = slice(cols[0], cols[-1] + 1)
+        foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, band]
+        mask[:, band] = (foot + wiggle >= x_lo) & (foot - wiggle <= x_hi)
+    return mask
 
 
 def advect_density(f0, grid: PhaseGrid, field, t: float, substeps: int,
@@ -181,21 +186,19 @@ def advect_density(f0, grid: PhaseGrid, field, t: float, substeps: int,
 
 
 def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
-                n_levels: int, dt: float, monotone: bool = False,
-                substeps_per_dt: int = 1):
+                n_levels: int, dt: float, monotone: bool = False):
     """One successive-approximation sweep against a frozen field history.
 
     Returns the new density levels and the field levels rebuilt from their
-    moments.  Level k advects over [0, k dt] with k * substeps_per_dt RK4
-    substeps, so every interval between stored field levels is resolved.
+    moments.  Level k advects over [0, k dt] with k RK4 steps, one per
+    interval between stored field levels.
     """
     f_levels = []
     b_levels = []
     moments: list[MomentProfile] = []
     for k in range(n_levels):
         t_k = k * dt
-        f_k = advect_density(f0, grid, prev_history, t_k,
-                             max(1, k * substeps_per_dt))
+        f_k = advect_density(f0, grid, prev_history, t_k, max(1, k))
         f_levels.append(f_k)
         moments.append(density_moment(f_k))
         b_levels.append(field_from_history(b0.value, list(moments), t_k,
@@ -205,8 +208,7 @@ def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
 
 def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
                  dt: float, tol: float = 1e-8, max_iter: int = 25,
-                 initial_iterate: str = "constant", monotone: bool = False,
-                 substeps_per_dt: int = 1):
+                 initial_iterate: str = "constant", monotone: bool = False):
     """Successive approximation until the iterates are tol-Cauchy.
 
     initial_iterate selects the zeroth field history: "constant" freezes
@@ -236,11 +238,12 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     b_levels = [TransportField(grid, b_stack[k], k * dt)
                 for k in range(n_levels)]
     for _ in range(max_iter):
-        prev = LatticeFieldHistory(grid, b_stack, dt)
         prev_f = f_levels
-        f_levels, b_levels = picard_step(prev, f0, b0, grid, n_levels, dt,
-                                         monotone=monotone,
-                                         substeps_per_dt=substeps_per_dt)
+        # Left unnamed, so a sweep's history and its tables are freed
+        # before the next sweep builds its own.
+        f_levels, b_levels = picard_step(
+            LatticeFieldHistory(grid, b_stack, dt), f0, b0, grid, n_levels,
+            dt, monotone=monotone)
         new_b = np.stack([b.values for b in b_levels])
         field_diffs.append(float(np.max(np.abs(new_b - b_stack))))
         # Level by level: a max of per-level maxima is the same number,

@@ -29,6 +29,8 @@ from vlasov_transport.phase_space import (BumpField, DensityField,
 from vlasov_transport.solver import (SolutionHistory, majorant_existence_time,
                                      solve_direct, solve_picard)
 
+pytestmark = pytest.mark.slow
+
 GRIDS = (65, 129, 257)
 DESK = 257
 PICARD_TOL = 1e-8

@@ -153,6 +153,47 @@ def test_lattice_history_blend_matches_two_level_form(levels, nx, theta,
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(4, 33), st.data())
+def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
+                                                                  data):
+    grid = build_phase_grid(-1.5, 2.0, 0.0, 1.0, nx, 4)
+    values = data.draw(arrays(np.float64, (levels, nx),
+                              elements=st.floats(-1e3, 1e3)))
+    dt = 0.25
+    on_level = st.integers(0, levels - 1).map(float)
+    half_level = st.integers(0, levels - 2).map(lambda k: k + 0.5)
+    anywhere = st.tuples(st.integers(0, levels - 2),
+                         st.floats(1e-6, 1.0 - 1e-6)).map(sum)
+    positions = data.draw(st.lists(st.one_of(on_level, half_level, anywhere),
+                                   min_size=1, max_size=8))
+    xq = data.draw(arrays(np.float64, st.integers(1, 20),
+                          elements=st.floats(grid.x_min, grid.x_max)))
+    hist = LatticeFieldHistory(grid, values, dt)
+    # forwards, then backwards: every time is met again after others, so
+    # a stale cached table would show
+    for pos in positions + positions[::-1]:
+        s = dt * pos
+        got = hist.eval(s, xq)
+        pos = s / dt
+        k = min(int(pos), levels - 2)
+        theta = pos - k
+        row = values[k] if theta == 0.0 \
+            else (1.0 - theta) * values[k] + theta * values[k + 1]
+        want = interp_profile(grid.x_min, grid.dx, row, xq)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_history_keeps_a_read_only_copy():
+    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 9, 4)
+    levels = np.stack([np.linspace(0.0, 1.0, 9), np.linspace(1.0, 3.0, 9)])
+    hist = LatticeFieldHistory(grid, levels, 0.5)
+    before = hist.eval(0.25, grid.x_nodes)
+    levels[:] = 7.0
+    assert np.array_equal(hist.eval(0.25, grid.x_nodes), before)
+    assert not hist.values.flags.writeable
+
+
 def test_lattice_history_out_of_range():
     grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 9, 4)
     hist = LatticeFieldHistory(grid, np.zeros((3, 9)), 0.25)

@@ -232,6 +232,11 @@ def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {engine} engine: profile query outside")
+    # the abort leaves a record: the same message, and the time it hit
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ok"] is False
+    assert summary["aborted"] == err.strip()[len("error: "):]
+    assert " at t = " in summary["aborted"]
 
 
 def test_main_majorant_json(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vlasov_transport.field_solve import (BoundReport, MomentProfile,
                                           advance_field,
@@ -13,7 +15,7 @@ from vlasov_transport.field_solve import (BoundReport, MomentProfile,
 from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           DensityField, DomainExitError,
                                           InitialDataSpec, TransportField,
-                                          build_phase_grid,
+                                          build_phase_grid, interp_profile,
                                           sample_initial_data)
 
 # B^1 for a free-streamed default bump (B0 = 0), from an independent dense
@@ -63,6 +65,22 @@ def test_moment_profile_reads_zero_outside():
     rho = MomentProfile(grid, np.ones(9), 0.0)
     got = rho.at(np.array([-5.0, 0.0, 5.0]))
     np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 40), st.booleans(), st.data())
+def test_moment_profile_cached_table_changes_nothing(nx, monotone, data):
+    grid = build_phase_grid(-2.0, 3.0, -1.0, 1.0, nx, 4)
+    values = data.draw(arrays(np.float64, nx, elements=st.floats(-1e3, 1e3)))
+    rho = MomentProfile(grid, values, 0.5)
+    # queries on and off the axis: off it the moment reads zero
+    for _ in range(2):
+        xq = data.draw(arrays(np.float64, st.integers(1, 30),
+                              elements=st.floats(-3.0, 4.0)))
+        got = rho.at(xq, monotone=monotone)
+        want = interp_profile(grid.x_min, grid.dx, values, xq,
+                              out_of_range="zero", monotone=monotone)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_field_from_history_zero_density_is_pure_transport():

@@ -13,7 +13,7 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
                                           interpolate, sample_initial_data)
-from vlasov_transport.phase_space import _NODE_SNAP, _stencil
+from vlasov_transport.phase_space import _NODE_SNAP, _cubic_table, _stencil
 
 
 def test_grid_spacing_and_nodes():
@@ -356,4 +356,139 @@ def test_profile_kernel_monotone_stays_in_cell_range(values, x0, dx,
     assert np.all((lo <= got) & (got <= hi))
     # and it is the plain cubic clipped, nothing more
     plain = interp_profile(x0, dx, values, xq)
+    assert np.array_equal(got, np.clip(plain, lo, hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(4, 30), st.data())
+def test_cubic_table_of_a_stack_is_the_stack_of_tables(levels, n, data):
+    values = data.draw(arrays(np.float64, (levels, n),
+                              elements=st.floats(-1e3, 1e3)))
+    tables = _cubic_table(values)
+    assert tables.shape == (levels, n, 4)
+    for k in range(levels):
+        assert tables[k].tobytes() == _cubic_table(values[k]).tobytes()
+
+
+def test_interp_profile_reads_node_values_from_a_given_table():
+    values = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
+    xq = np.array([0.3, 1.0, 2.7, 4.0])
+    table = _cubic_table(values)
+    for monotone in (False, True):
+        want = interp_profile(0.0, 1.0, values, xq, monotone=monotone)
+        got = interp_profile(0.0, 1.0, None, xq, monotone=monotone,
+                             table=table)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="not both"):
+        interp_profile(0.0, 1.0, values, xq, table=table)
+
+
+# ---------------------------------------------------------------------------
+# properties of the tensor-product lattice interpolator
+
+lattice_sizes = st.tuples(st.integers(4, 12), st.integers(4, 12))
+lattice_fractions = arrays(np.float64, st.integers(1, 40),
+                           elements=st.floats(0.0, 1.0))
+
+
+def _lattice(data, nx, nv):
+    return data.draw(arrays(np.float64, (nx, nv), elements=st.floats(
+        -1e3, 1e3, allow_subnormal=False)))
+
+
+def _snap(coord):
+    nearest = np.rint(coord)
+    return np.where(np.abs(coord - nearest) <= _NODE_SNAP, nearest, coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sizes, arrays(np.float64, (4, 4), elements=st.floats(-1, 1)),
+       lattice_fractions, lattice_fractions)
+def test_lattice_reproduces_bicubics(sizes, coeffs, fx, fv):
+    nx, nv = sizes
+    # integer nodes, so the grid coordinate is the query itself
+    grid = build_phase_grid(0.0, nx - 1.0, 0.0, nv - 1.0, nx, nv)
+
+    def p(x, v):
+        powers_x = np.stack([x ** i for i in range(4)])
+        powers_v = np.stack([v ** j for j in range(4)])
+        return np.einsum("ij,i...,j...->...", coeffs, powers_x, powers_v)
+
+    values = p(grid.x_nodes[:, None], grid.v_nodes[None, :])
+    m = min(fx.size, fv.size)
+    xq, vq = fx[:m] * (nx - 1), fv[:m] * (nv - 1)
+    got = interp_lattice(grid, values, xq, vq)
+    tol = 1e-12 * (1.0 + np.max(np.abs(values)))
+    assert np.max(np.abs(got - p(_snap(xq), _snap(vq)))) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sizes, origins, spacings, origins, spacings, st.data())
+def test_lattice_node_queries_are_bitwise_through_noise(sizes, x0, dx, v0,
+                                                       dv, data):
+    nx, nv = sizes
+    grid = build_phase_grid(x0, x0 + dx * (nx - 1), v0, v0 + dv * (nv - 1),
+                            nx, nv)
+    values = _lattice(data, nx, nv)
+    assert np.array_equal(interp_lattice(grid, values, grid.x_nodes[:, None],
+                                         grid.v_nodes[None, :]), values)
+    # noise below the snap width, inward at the ends to stay on the axes
+    noise = [data.draw(arrays(np.float64, n, elements=st.floats(
+        -0.4 * _NODE_SNAP, 0.4 * _NODE_SNAP))) for n in (nx, nv)]
+    for eps in noise:
+        eps[0], eps[-1] = abs(eps[0]), -abs(eps[-1])
+    xq = grid.x_min + grid.dx * (np.arange(float(nx)) + noise[0])
+    vq = grid.v_min + grid.dv * (np.arange(float(nv)) + noise[1])
+    for monotone in (False, True):
+        got = interp_lattice(grid, values, xq[:, None], vq[None, :],
+                             monotone=monotone)
+        assert np.array_equal(got, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sizes, st.data())
+def test_lattice_reads_zero_outside_the_rectangle(sizes, data):
+    nx, nv = sizes
+    grid = build_phase_grid(-1.0, 2.0, 0.5, 3.0, nx, nv)
+    values = _lattice(data, nx, nv)
+    # one coordinate beyond an edge by more than the range slack, the
+    # other anywhere
+    beyond = st.floats(1e-6, 5.0)
+    side = data.draw(st.sampled_from(("x_lo", "x_hi", "v_lo", "v_hi")))
+    m = data.draw(st.integers(1, 20))
+    gap = data.draw(arrays(np.float64, m, elements=beyond))
+    free = data.draw(arrays(np.float64, m, elements=st.floats(-1.0, 2.0)))
+    if side.startswith("x"):
+        xq = grid.x_min - gap * grid.dx if side == "x_lo" \
+            else grid.x_max + gap * grid.dx
+        vq = grid.v_min + free * (grid.v_max - grid.v_min)
+    else:
+        vq = grid.v_min - gap * grid.dv if side == "v_lo" \
+            else grid.v_max + gap * grid.dv
+        xq = grid.x_min + free * (grid.x_max - grid.x_min)
+    for monotone in (False, True):
+        got = interp_lattice(grid, values, xq, vq, monotone=monotone)
+        assert np.array_equal(got, np.zeros(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_sizes, lattice_fractions, lattice_fractions, st.data())
+def test_lattice_monotone_stays_in_cell_corner_range(sizes, fx, fv, data):
+    nx, nv = sizes
+    grid = build_phase_grid(-2.0, 1.0, 0.0, 4.0, nx, nv)
+    values = _lattice(data, nx, nv)
+    m = min(fx.size, fv.size)
+    cx, cv = fx[:m] * (nx - 1), fv[:m] * (nv - 1)
+    xq = grid.x_min + grid.dx * cx
+    vq = grid.v_min + grid.dv * cv
+    got = interp_lattice(grid, values, xq, vq, monotone=True)
+    # the enclosing cell of each query, after the node snap
+    i, _, _ = _stencil((xq - grid.x_min) / grid.dx, nx)
+    j, _, _ = _stencil((vq - grid.v_min) / grid.dv, nv)
+    corners = np.stack([values[i, j], values[i + 1, j], values[i, j + 1],
+                        values[i + 1, j + 1]])
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    assert np.all((lo <= got) & (got <= hi))
+    # and it is the plain bicubic clipped, nothing more
+    plain = interp_lattice(grid, values, xq, vq)
     assert np.array_equal(got, np.clip(plain, lo, hi))

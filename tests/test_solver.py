@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlasov_transport.characteristics import AnalyticFieldHistory
 from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
                                      advect_density, majorant_existence_time,
                                      solve_direct, solve_picard)
+from vlasov_transport.solver import _support_mask
 
 # Cap-crossing times of F' = C (1 + t F)^2, F(0) = C at cap 1e6, from an
 # independent fixed-step integration at ds = 1e-5 (step-halving deltas
@@ -221,3 +223,29 @@ def test_field_history_roundtrip_is_bitwise():
     for k, b in enumerate(history.b_levels):
         got = lattice.eval(k * 0.05, grid.x_nodes)
         assert np.array_equal(got, b.values)
+
+
+def _support_mask_full_grid(grid, box, t, b_max, pad_cells=2.0):
+    # the x-window worked out on every node, then cut to the v-band
+    (x_lo, x_hi), (v_lo, v_hi) = box
+    grow = t * b_max * (1.0 + 1e-9) + 1e-12
+    pad_v = pad_cells * grid.dv
+    v_ok = ((grid.v_nodes >= v_lo - grow - pad_v)
+            & (grid.v_nodes <= v_hi + grow + pad_v))
+    wiggle = t * t * b_max * (1.0 + 1e-9) + pad_cells * grid.dx + 1e-12
+    foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, :]
+    x_ok = (foot + wiggle >= x_lo) & (foot - wiggle <= x_hi)
+    return x_ok & v_ok[None, :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 40), st.integers(4, 40),
+       st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
+       st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
+       st.floats(0.0, 2.0), st.floats(0.0, 3.0))
+def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, b_max):
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, nx, nv)
+    box = ((bx[0], bx[0] + bx[1]), (bv[0], bv[0] + bv[1]))
+    got = _support_mask(grid, box, t, b_max)
+    assert got.shape == (nx, nv)
+    assert np.array_equal(got, _support_mask_full_grid(grid, box, t, b_max))
