@@ -69,11 +69,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_times(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -127,31 +134,31 @@ class RunConfig:
 
 # config key -> (attribute, value parser)
 _KEYS = {
-    "x_min": ("x_min", float),
-    "x_max": ("x_max", float),
-    "v_min": ("v_min", float),
-    "v_max": ("v_max", float),
+    "x_min": ("x_min", _parse_float),
+    "x_max": ("x_max", _parse_float),
+    "v_min": ("v_min", _parse_float),
+    "v_max": ("v_max", _parse_float),
     "nx": ("nx", int),
     "nv": ("nv", int),
-    "dt": ("dt", float),
-    "T": ("t_final", float),
+    "dt": ("dt", _parse_float),
+    "T": ("t_final", _parse_float),
     "engine": ("engine", str),
-    "picard_tol": ("picard_tol", float),
+    "picard_tol": ("picard_tol", _parse_float),
     "picard_max_iter": ("picard_max_iter", int),
     "f0_family": ("f0_family", str),
-    "f0_amplitude": ("f0_amplitude", float),
-    "f0_center_x": ("f0_center_x", float),
-    "f0_center_v": ("f0_center_v", float),
-    "f0_width": ("f0_width", float),
+    "f0_amplitude": ("f0_amplitude", _parse_float),
+    "f0_center_x": ("f0_center_x", _parse_float),
+    "f0_center_v": ("f0_center_v", _parse_float),
+    "f0_width": ("f0_width", _parse_float),
     "b0_family": ("b0_family", str),
-    "b0_amplitude": ("b0_amplitude", float),
-    "b0_width": ("b0_width", float),
+    "b0_amplitude": ("b0_amplitude", _parse_float),
+    "b0_width": ("b0_width", _parse_float),
     "interp_monotone": ("interp_monotone", _parse_bool),
     "diag_holder": ("diag_holder", _parse_bool),
     "diag_scenario": ("diag_scenario", _parse_bool),
     "diag_residual": ("diag_residual", _parse_bool),
-    "majorant_C": ("majorant_c", float),
-    "majorant_cap": ("majorant_cap", float),
+    "majorant_C": ("majorant_c", _parse_float),
+    "majorant_cap": ("majorant_cap", _parse_float),
     "snapshot_times": ("snapshot_times", _parse_times),
     "out_dir": ("out_dir", str),
     "seed": ("seed", int),
@@ -198,7 +205,9 @@ def _validate(config: RunConfig) -> None:
     if config.t_final <= 0 or config.dt <= 0:
         raise ConfigError("T and dt must be positive")
     steps = config.t_final / config.dt
-    if abs(steps - round(steps)) > 1e-12 * max(1.0, steps) or round(steps) < 1:
+    # a ratio that overflows (a subnormal dt) divides nothing
+    k = round(steps) if math.isfinite(steps) else 0
+    if k < 1 or abs(steps - k) > 1e-12 * max(1.0, steps):
         raise ConfigError(
             f"dt = {config.dt} does not divide T = {config.t_final}")
     if config.engine not in _ENGINES:
@@ -217,7 +226,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(str(exc))
     for t in config.snapshot_times:
         level = t / config.dt
-        if t < 0 or t > config.t_final + 1e-12 \
+        if t < 0 or t > config.t_final + 1e-12 or not math.isfinite(level) \
                 or abs(level - round(level)) > 1e-9 * max(1.0, level):
             raise ConfigError(
                 f"snapshot time {t} is not a level time in [0, T]")

@@ -24,11 +24,18 @@ profile are an error, because the field has no meaningful extension
 beyond the truncated domain.  A monotone-clipped variant limits each
 result to the range of the enclosing cell's corner values, which
 preserves sign and sup bounds at the cost of formal order.
+
+Memory: a density is compactly supported, so a level is mostly exact
+zeros.  The engines build each level on _zero_lattice and write only its
+support, so a level is resident only on the rows its support touches;
+the rest reads as zero without occupying memory, and a dropped level
+hands its pages back to the system.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -111,6 +118,21 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _zero_lattice(shape) -> np.ndarray:
+    """A writable C-contiguous float64 array of zeros, resident on write.
+
+    The array views a private anonymous mapping of its own: the kernel
+    supplies its pages zeroed on first write, pages never written stay
+    out of memory, and the mapping is unmapped once the last array over
+    it is dropped.  np.zeros cannot promise this: once glibc has raised
+    its mmap threshold past the lattice size, it zero-fills heap memory,
+    which makes every page resident.
+    """
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
 
 
 @dataclass(frozen=True)

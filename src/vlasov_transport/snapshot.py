@@ -28,6 +28,9 @@ def write_snapshot(path, values: np.ndarray, time: float) -> None:
     values = np.ascontiguousarray(values, dtype="<f8")
     if values.ndim == 2:
         nx, nv = values.shape
+        if nv == 0:
+            # nv = 0 marks a profile, so the header cannot say this shape
+            raise ValueError("a snapshot lattice needs at least one column")
     elif values.ndim == 1:
         nx, nv = values.shape[0], 0
     else:

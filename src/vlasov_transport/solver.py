@@ -28,6 +28,13 @@ band, or whose position cannot reach the support spatially in the time
 available, cannot carry mass.  The bounds use the measured field sup, so
 the filter is exact, not a heuristic.
 
+The same bound keeps memory in step with the support.  Each engine builds
+a density level on a zero lattice that is resident only where written
+(phase_space._zero_lattice) and writes only the nodes it traces, so a
+level is resident only on the rows its support touches.  Picard compares
+each new level with the previous iterate's as soon as it is built and
+drops the old one, so one iterate and one level are alive at a time.
+
 majorant_existence_time integrates the scalar comparison ODE
 
     F'(t) = C (1 + t F)^2,    F(0) = C,
@@ -48,7 +55,8 @@ from .characteristics import LatticeFieldHistory, trace_states
 from .field_solve import MomentProfile, density_moment, field_from_history, \
     advance_field
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
-                          TransportField, interp_lattice, sample_initial_data)
+                          TransportField, _zero_lattice, interp_lattice,
+                          sample_initial_data)
 
 __all__ = [
     "SolutionHistory",
@@ -119,7 +127,7 @@ def _levels_for(t_total: float, dt: float) -> int:
     if dt <= 0 or t_total <= 0:
         raise ValueError("horizon and dt must be positive")
     steps = t_total / dt
-    k = round(steps)
+    k = round(steps) if math.isfinite(steps) else 0
     if k < 1 or abs(steps - k) > 1e-12 * max(1.0, steps):
         raise ValueError(f"dt = {dt} does not divide the horizon {t_total}")
     return k + 1
@@ -166,10 +174,10 @@ def advect_density(f0, grid: PhaseGrid, field, t: float, substeps: int,
         return DensityField(grid, values, 0.0)
     box = getattr(f0, "support", None)
     if box is None and getattr(f0, "sup_norm", None) == 0.0:
-        return DensityField(grid, np.zeros((grid.nx, grid.nv)), t)
+        return DensityField(grid, _zero_lattice((grid.nx, grid.nv)), t)
     b_max = field.sup_bound() if active else None
-    values = np.zeros((grid.nx, grid.nv))
     if box is not None and b_max is not None:
+        values = _zero_lattice((grid.nx, grid.nv))
         mask = _support_mask(grid, box, t, b_max)
         if not mask.any():
             return DensityField(grid, values, t)
@@ -186,24 +194,37 @@ def advect_density(f0, grid: PhaseGrid, field, t: float, substeps: int,
 
 
 def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
-                n_levels: int, dt: float, monotone: bool = False):
+                n_levels: int, dt: float, prev_f: list,
+                monotone: bool = False):
     """One successive-approximation sweep against a frozen field history.
 
-    Returns the new density levels and the field levels rebuilt from their
-    moments.  Level k advects over [0, k dt] with k RK4 steps, one per
-    interval between stored field levels.
+    Returns the new density levels, the field levels rebuilt from their
+    moments, and the sup distance of the new density levels from prev_f,
+    the previous iterate's.  Level k advects over [0, k dt] with k RK4
+    steps, one per interval between stored field levels.  Each entry of
+    prev_f is cleared once compared, so only one previous level is alive
+    next to the new iterate.
     """
     f_levels = []
     b_levels = []
     moments: list[MomentProfile] = []
+    # Per-level maxima, reduced once at the end: the same number as the
+    # sup over the stacked difference, NaN included.  The differences go
+    # through one buffer: a fresh lattice-sized temporary per level makes
+    # malloc return and refault its pages every level.
+    diffs = []
+    diff = np.empty((grid.nx, grid.nv))
     for k in range(n_levels):
         t_k = k * dt
         f_k = advect_density(f0, grid, prev_history, t_k, max(1, k))
+        np.subtract(f_k.values, prev_f[k].values, out=diff)
+        diffs.append(np.max(np.abs(diff, out=diff)))
+        prev_f[k] = None
         f_levels.append(f_k)
         moments.append(density_moment(f_k))
         b_levels.append(field_from_history(b0.value, list(moments), t_k,
                                            monotone=monotone))
-    return f_levels, b_levels
+    return f_levels, b_levels, float(np.max(diffs))
 
 
 def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
@@ -238,19 +259,15 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     b_levels = [TransportField(grid, b_stack[k], k * dt)
                 for k in range(n_levels)]
     for _ in range(max_iter):
-        prev_f = f_levels
-        # Left unnamed, so a sweep's history and its tables are freed
-        # before the next sweep builds its own.
-        f_levels, b_levels = picard_step(
+        # The history is left unnamed, so a sweep's history and its tables
+        # are freed before the next sweep builds its own; the sweep clears
+        # the previous iterate's levels from f_levels as it goes.
+        f_levels, b_levels, density_diff = picard_step(
             LatticeFieldHistory(grid, b_stack, dt), f0, b0, grid, n_levels,
-            dt, monotone=monotone)
+            dt, f_levels, monotone=monotone)
         new_b = np.stack([b.values for b in b_levels])
         field_diffs.append(float(np.max(np.abs(new_b - b_stack))))
-        # Level by level: a max of per-level maxima is the same number,
-        # without two (levels, nx, nv) copies of the density.
-        density_diffs.append(float(np.max(
-            [np.max(np.abs(new.values - old.values))
-             for new, old in zip(f_levels, prev_f)])))
+        density_diffs.append(density_diff)
         b_stack = new_b
         if max(field_diffs[-1], density_diffs[-1]) < tol:
             converged = True
@@ -333,7 +350,7 @@ def _advect_lattice_step(f_k: DensityField, box,
     """
     grid = f_k.grid
     t_next = f_k.time + dt
-    values = np.zeros_like(f_k.values)
+    values = _zero_lattice(f_k.values.shape)
     if box is None:
         return DensityField(grid, values, t_next), None
     new_box = _grow_box(box, dt, step_hist.sup_bound())

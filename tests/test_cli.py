@@ -3,9 +3,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vlasov_transport.cli import (ConfigError, RunConfig, load_config, main,
-                                  parse_config, run_scenario)
+from vlasov_transport.cli import (_KEYS, ConfigError, RunConfig, load_config,
+                                  main, parse_config, run_scenario)
 from vlasov_transport.snapshot import read_snapshot, write_snapshot
 
 TINY_BOTH = """
@@ -83,6 +84,59 @@ def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("T = inf", "bad value for 'T': expected a finite number"),
+    ("T = 1e400", "bad value for 'T': expected a finite number"),
+    ("T = nan", "bad value for 'T': expected a finite number"),
+    ("x_max = inf", "bad value for 'x_max': expected a finite number"),
+    ("snapshot_times = 0, nan", "bad value for 'snapshot_times'"),
+    # T / dt overflows to inf
+    ("dt = 1e-320", "dt = 1e-320 does not divide T = 0.5"),
+    # T / dt = 8, but the snapshot time over dt overflows
+    ("T = 4e-323\ndt = 5e-324\nsnapshot_times = 1e-13",
+     "snapshot time 1e-13 is not a level time"),
+])
+def test_main_run_rejects_non_finite_numbers(tmp_path, capsys, text,
+                                             fragment):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+
+
+# Values that each parser meets: numbers of every size and sign, the
+# non-finite spellings, the words the enum keys take, and free text.
+config_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e-320",
+                     "5e-324", "0", "-0.0", "true", "false", "picard",
+                     "direct", "both", "bump", "zero", "uniform",
+                     "gaussian", ""]),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True),
+             max_size=4).map(lambda ts: ", ".join(map(repr, ts))),
+    st.text(st.characters(blacklist_characters="\n\r#"), max_size=12))
+# Mostly known keys, each once, so that most documents get past the key
+# checks to the value checks; free-text lines now and then.
+config_documents = st.tuples(
+    st.dictionaries(st.sampled_from(sorted(_KEYS)), config_values,
+                    max_size=6),
+    st.lists(st.text(max_size=12), max_size=1),
+).map(lambda parts: "\n".join(
+    [f"{key} = {value}" for key, value in parts[0].items()] + parts[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_documents)
+def test_parse_config_returns_a_config_or_raises_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 def test_load_config_reads_files(tmp_path):

@@ -13,7 +13,8 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
                                           interpolate, sample_initial_data)
-from vlasov_transport.phase_space import _NODE_SNAP, _cubic_table, _stencil
+from vlasov_transport.phase_space import (_NODE_SNAP, _cubic_table, _stencil,
+                                          _zero_lattice)
 
 
 def test_grid_spacing_and_nodes():
@@ -43,6 +44,27 @@ def test_density_field_shape_check():
     with pytest.raises(ValueError):
         DensityField(grid, np.zeros((7, 5)), 0.0)
     f = DensityField(grid, np.zeros((5, 7)), 0.0)
+    assert f.sup_norm() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (257, 257), (3,)])
+def test_zero_lattice_is_private_contiguous_float_zeros(shape):
+    a = _zero_lattice(shape)
+    b = _zero_lattice(shape)
+    for lattice in (a, b):
+        assert lattice.shape == shape and lattice.dtype == np.float64
+        assert lattice.flags.c_contiguous and lattice.flags.writeable
+        assert not lattice.any()
+    assert not np.shares_memory(a, b)
+    a[-1] = 2.0
+    assert not b.any()
+
+
+def test_density_field_on_a_zero_lattice_is_read_only():
+    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 5, 7)
+    f = DensityField(grid, _zero_lattice((5, 7)), 0.0)
+    with pytest.raises(ValueError):
+        f.values[2, 3] = 1.0
     assert f.sup_norm() == 0.0
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from vlasov_transport.phase_space import _zero_lattice
 from vlasov_transport.snapshot import MAGIC, read_snapshot, write_snapshot
 
 # byte-for-byte oracle for a 2x3 lattice of 0..5 at t = 0.5, computed by
@@ -53,6 +56,9 @@ def test_rewrite_is_byte_identical(tmp_path):
 def test_rejects_bad_rank(tmp_path):
     with pytest.raises(ValueError):
         write_snapshot(tmp_path / "bad.snap", np.zeros((2, 2, 2)), 0.0)
+    # nv = 0 in the header marks a profile, so (n, 0) cannot round-trip
+    with pytest.raises(ValueError, match="column"):
+        write_snapshot(tmp_path / "bad.snap", np.zeros((3, 0)), 0.0)
 
 
 def test_read_rejects_corrupt_files(tmp_path):
@@ -79,3 +85,43 @@ def test_read_rejects_corrupt_files(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_snapshot(trailing)
+
+
+# any float64, specials included: -0.0, NaN payloads and infinities
+any_doubles = st.floats(allow_nan=True, allow_infinity=True, width=64)
+snapshot_arrays = st.one_of(
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=1, min_side=0,
+                                    max_side=12), elements=any_doubles),
+    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                    max_side=9), elements=any_doubles),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(_zero_lattice))
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_arrays, any_doubles)
+def test_roundtrip_is_bitwise(tmp_path_factory, values, time):
+    path = tmp_path_factory.mktemp("roundtrip") / "level.snap"
+    write_snapshot(path, values, time)
+    got, got_time = read_snapshot(path)
+    assert got.shape == values.shape
+    assert got.tobytes() == values.tobytes()
+    assert np.float64(got_time).tobytes() == np.float64(time).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_arrays, st.data())
+def test_damaged_files_are_rejected(tmp_path_factory, values, data):
+    path = tmp_path_factory.mktemp("damaged") / "level.snap"
+    write_snapshot(path, values, 0.5)
+    raw = path.read_bytes()
+    header = 32
+    damaged = [(raw[:data.draw(st.integers(0, header - 1))], "header"),
+               (raw + data.draw(st.binary(min_size=1, max_size=16)),
+                "trailing")]
+    if len(raw) > header:
+        cut = data.draw(st.integers(header, len(raw) - 1))
+        damaged.append((raw[:cut], "payload"))
+    for content, fragment in damaged:
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=fragment):
+            read_snapshot(path)

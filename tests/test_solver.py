@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vlasov_transport
 from vlasov_transport.characteristics import AnalyticFieldHistory
 from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
@@ -30,6 +34,9 @@ def test_rejects_time_grids_that_do_not_divide():
         solve_direct(spec, grid, 0.5, -0.1)
     with pytest.raises(ValueError):
         solve_picard(spec, grid, 0.0, 0.1)
+    # the step count overflows to inf
+    with pytest.raises(ValueError, match="does not divide"):
+        solve_direct(spec, grid, 0.5, 1e-320)
 
 
 def test_solve_picard_validates_options():
@@ -103,6 +110,55 @@ def test_picard_differences_contract():
                                        trace.density_diffs)]
     for prev, nxt in zip(diffs, diffs[1:]):
         assert nxt < prev
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_picard_density_diff_is_the_sup_over_levels(k):
+    # the sweep compares level by level; the recorded number must be the
+    # sup of |f^(k) - f^(k-1)| over all levels of the two iterates
+    spec = InitialDataSpec()
+    grid = _grid()
+    last, trace = solve_picard(spec, grid, 0.25, 0.03125, max_iter=k)
+    before, _ = solve_picard(spec, grid, 0.25, 0.03125, max_iter=k - 1)
+    assert trace.iterations == k and not trace.converged
+    expected = max(float(np.max(np.abs(new.values - old.values)))
+                   for new, old in zip(last.f_levels, before.f_levels))
+    assert expected > 0.0
+    assert trace.density_diffs[-1] == expected
+
+
+# Peak-RSS growth of a monotone direct solve on the criterion-9 data, as a
+# share of the dense size of its density levels.
+MEMORY_PROBE = """
+import os
+pid = os.fork()
+if pid:
+    # ru_maxrss carries over the peak of whatever process exec'd this
+    # one (the test runner, here); a fork starts its own count
+    os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import resource, sys
+from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
+from vlasov_transport.solver import solve_direct
+spec = InitialDataSpec(f0_center_v=2.0, f0_width=0.5)
+grid = build_phase_grid(-2.5, 9.5, 0.25, 5.25, 129, 129)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+history = solve_direct(spec, grid, 2.0, 1.0 / 64.0, monotone=True)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024   # ru_maxrss in B or KiB
+print((after - before) * unit / (history.n_levels * grid.nx * grid.nv * 8))
+"""
+
+
+def test_direct_levels_are_resident_only_on_their_support():
+    pytest.importorskip("resource")
+    package_root = os.path.dirname(os.path.dirname(vlasov_transport.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # dense levels read about 1.1 here; support-only levels about 0.35
+    assert float(done.stdout) < 0.6
 
 
 def test_initial_iterate_choice_reaches_the_same_history():
