@@ -152,6 +152,8 @@ class LatticeFieldHistory:
         # two levels first costs one lookup instead of two.
         if theta == 0.0:
             table = self._tables[k]
+        elif theta == 1.0:
+            table = self._tables[k + 1]
         elif theta == 0.5:
             table = self._half_tables[k]
         else:

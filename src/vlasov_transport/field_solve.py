@@ -143,11 +143,18 @@ def advance_field(b_t: TransportField, rho_t: MomentProfile,
     the moment vanishes near the edge, so inflow is the transported
     initial field B0(y - t).  Without inflow such queries raise.
     """
+    shift = _field_shift(b_t, rho_t, dt, inflow=inflow, monotone=monotone)
+    return _finish_field(b_t, shift, rho_next, dt)
+
+
+def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float,
+                 inflow: Callable | None = None, monotone: bool = False):
+    """(B(t, x-dt), rho(t, x-dt)) on the nodes: the part of advance_field
+    that does not read rho(t+dt), for callers that finish it twice."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = b_t.grid
-    x = grid.x_nodes
-    shifted = x - dt
+    shifted = grid.x_nodes - dt
     if inflow is None:
         b_shift = interp_profile(grid.x_min, grid.dx, b_t.values, shifted,
                                  out_of_range="error", monotone=monotone)
@@ -161,9 +168,16 @@ def advance_field(b_t: TransportField, rho_t: MomentProfile,
                 out_of_range="error", monotone=monotone)
         if np.any(~inside):
             b_shift[~inside] = np.asarray(inflow(shifted[~inside]), dtype=float)
-    values = b_shift + 0.5 * dt * (rho_t.at(shifted, monotone=monotone)
-                                   + rho_next.values)
-    return TransportField(grid, values, b_t.time + dt)
+    return b_shift, rho_t.at(shifted, monotone=monotone)
+
+
+def _finish_field(b_t: TransportField, shift, rho_next: MomentProfile,
+                  dt: float) -> TransportField:
+    """B(t+dt) from _field_shift's pair and the moment at t + dt."""
+    b_shift, rho_shift = shift
+    return TransportField(b_t.grid,
+                          b_shift + 0.5 * dt * (rho_shift + rho_next.values),
+                          b_t.time + dt)
 
 
 def field_derivative_rep(b0_derivative, dxf_levels: Sequence[DensityField],

@@ -52,8 +52,9 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import LatticeFieldHistory, trace_states
-from .field_solve import MomentProfile, density_moment, field_from_history, \
-    advance_field
+from .field_solve import (MomentProfile, _field_shift, _finish_field,
+                          density_moment, field_from_history,
+                          trapezoid_uniform)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
                           TransportField, _zero_lattice, interp_lattice,
                           sample_initial_data)
@@ -286,15 +287,23 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     Per step: predict B(t+dt) from the transport update with rho(t) used
     for both trapezoid ends, advect the density one semi-Lagrangian step
     against the predicted field, then correct B(t+dt) with the trapezoid
-    of rho(t) and the new moment.  The density advection interpolates the
-    previous lattice once per step (cubic, or monotone-clipped).
+    of rho(t) and the new moment.  The predictor and the corrector share
+    B(t, x-dt) and rho(t, x-dt), so those are interpolated once per step.
+    The density advection interpolates the previous lattice once per step
+    (cubic, or monotone-clipped).
 
     The engine carries a certified support box with the lattice: per step
     the box grows by the exact reachability of the flow (velocity changes
     by at most dt * sup|B|), and nodes outside it are set to exact zero.
     The true density vanishes there, so this only removes interpolation
     tails; without it the occupied region would spread by the stencil
-    width every step regardless of the flow.
+    width every step regardless of the flow.  Inside the box, a node is
+    traced only if its foot can read a nonzero value of the previous
+    level; every other node is exactly +0.0 (see _advect_lattice_step).
+    Such a node is not traced, so it cannot abort a run: a domain exit
+    comes only from a node that can carry mass.  A new level is +0.0 off
+    the box rows, and a zero row's trapezoid is +0.0, so its moment is
+    taken over the box rows alone.
     """
     n_levels = _levels_for(t_final, dt)
     b0 = spec.field()
@@ -309,14 +318,13 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
         def inflow(y, _t=t):
             return b0.value(np.asarray(y, dtype=float) - _t)
 
-        b_pred = advance_field(b_k, rho_k, rho_k, dt, inflow=inflow,
-                               monotone=monotone)
+        shift = _field_shift(b_k, rho_k, dt, inflow=inflow, monotone=monotone)
+        b_pred = _finish_field(b_k, shift, rho_k, dt)
         step_hist = LatticeFieldHistory(
             grid, np.stack([b_k.values, b_pred.values]), dt, t0=t)
         f_next, box = _advect_lattice_step(f_k, box, step_hist, dt, monotone)
-        rho_next = density_moment(f_next)
-        b_next = advance_field(b_k, rho_k, rho_next, dt, inflow=inflow,
-                               monotone=monotone)
+        rho_next = _box_moment(f_next, box)
+        b_next = _finish_field(b_k, shift, rho_next, dt)
         f_levels.append(f_next)
         b_levels.append(b_next)
         f_k, b_k, rho_k = f_next, b_next, rho_next
@@ -339,6 +347,110 @@ def _grow_box(box, dt: float, b_max: float):
     return (x_lo + dt * v_lo - slop, x_hi + dt * v_hi + slop), (v_lo, v_hi)
 
 
+def _box_slices(grid: PhaseGrid, box):
+    """Row and column slices of the nodes inside box, or None if empty.
+
+    The nodes increase along each axis, so the box is one run of rows by
+    one run of columns.
+    """
+    if box is None:
+        return None
+    (x_lo, x_hi), (v_lo, v_hi) = box
+    rows = np.flatnonzero((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi))
+    cols = np.flatnonzero((grid.v_nodes >= v_lo) & (grid.v_nodes <= v_hi))
+    if not (rows.size and cols.size):
+        return None
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _box_moment(f: DensityField, box) -> MomentProfile:
+    """density_moment of a level that is +0.0 off the rows of box."""
+    values = np.zeros(f.grid.nx)
+    block = _box_slices(f.grid, box)
+    if block is not None:
+        rs = block[0]
+        values[rs] = trapezoid_uniform(f.values[rs], f.grid.dv, axis=1)
+    return MomentProfile(f.grid, values, f.time)
+
+
+# The 4-point Lagrange weights' absolute values sum to at most 1.6312 (in
+# an edge cell; 1.25 inside), so a cubic profile is bounded by that times
+# its largest node value.  2 bounds it with room for rounding.
+_LEBESGUE_BOUND = 2.0
+# Cells of slack on a foot window: _stencil snaps a query within 1e-8
+# cells onto a node, which can move it into the next cell, and a foot's
+# coordinate carries float error of about 1e-13 cells.
+_ROUNDING_SLACK = 1e-6
+
+
+def _read_offsets(lo, hi, n: int, below: int, above: int):
+    """Offsets from its node of the first and last node a query reads.
+
+    The query lies lo to hi cells from its node, give or take
+    _ROUNDING_SLACK.  It reads from `below` nodes under its cell to
+    `above` nodes over it.  lo and hi are clipped to +-n, so an infinite
+    reach reads the whole axis.
+    """
+    lo = np.floor(np.clip(lo - _ROUNDING_SLACK, -n, n)).astype(np.int64)
+    hi = np.floor(np.clip(hi + _ROUNDING_SLACK, -n, n)).astype(np.int64)
+    return lo - below, hi + above
+
+
+def _clamp(first, last, n: int, span: int):
+    """_stencil's clamp of a read range to an axis of n nodes."""
+    return (np.minimum(np.maximum(first, 0), n - 1 - span),
+            np.maximum(np.minimum(last, n - 1), span))
+
+
+def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
+                dt: float, b_max: float, monotone: bool) -> np.ndarray:
+    """Nodes of the block (rs, cs) whose step can read a nonzero of f_prev.
+
+    One RK4 step of size dt under a field whose node values are bounded
+    by b_max moves the foot of node (x, v) at most dt^2 L b_max / 2 from
+    x - dt v and at most dt L b_max from v, with L = _LEBESGUE_BOUND.  A
+    foot reads its 4x4 stencil, or in a monotone step is clipped to its
+    cell's 2x2 corners.  Node (i, j) sits at coordinates (i, j), so its
+    column window is j plus a fixed offset and its row window i plus an
+    offset of its column's.  The window counts are differences of prefix
+    sums over the rows and columns the block can reach: one count per
+    row and column window, then one per node and row window.
+    """
+    reach = _LEBESGUE_BOUND * b_max
+    below, above = (0, 1) if monotone else (1, 2)
+    span = below + above
+    rows = np.arange(rs.start, rs.stop)
+    cols = np.arange(cs.start, cs.stop)
+    ev = dt * reach / grid.dv
+    c_lo, c_hi = _read_offsets(-ev, ev, grid.nv, below, above)
+    c_lo, c_hi = _clamp(cols + c_lo, cols + c_hi, grid.nv, span)
+    drift = -dt * grid.v_nodes[cs] / grid.dx
+    ex = 0.5 * dt * dt * reach / grid.dx
+    o_lo, o_hi = _read_offsets(drift - ex, drift + ex, grid.nx, below, above)
+    r0, r1 = _clamp(rows[0] + o_lo.min(), rows[-1] + o_hi.max(), grid.nx,
+                    span)
+    c0 = c_lo[0]
+    block = f_prev[r0:r1 + 1, c0:c_hi[-1] + 1]
+    # A plain step sums from +0.0, so a zero of either sign reads as zero.
+    # A clip to -0.0 corners returns -0.0, so there only +0.0 bits do.
+    nonzero = block.view(np.int64) != 0 if monotone else block != 0
+    # Counts stay below nx * nv, so int32 holds them.
+    prefix = np.zeros((block.shape[0], block.shape[1] + 1), dtype=np.int32)
+    np.cumsum(nonzero, axis=1, out=prefix[:, 1:])
+    in_cols = np.zeros((block.shape[0] + 1, cols.size), dtype=np.int32)
+    np.cumsum(prefix[:, c_hi - c0 + 1] - prefix[:, c_lo - c0], axis=0,
+              out=in_cols[1:])
+    # The row offset moves by about dt (v_max - v_min) / dx cells across
+    # the box: one row gather per run of columns that share it.
+    live = np.empty((rows.size, cols.size), dtype=bool)
+    runs = np.flatnonzero(np.diff(o_lo) | np.diff(o_hi)) + 1
+    for a, b in zip([0, *runs], [*runs, cols.size]):
+        first, last = _clamp(rows + o_lo[a], rows + o_hi[a], grid.nx, span)
+        np.greater(in_cols[last - r0 + 1, a:b], in_cols[first - r0, a:b],
+                   out=live[:, a:b])
+    return live
+
+
 def _advect_lattice_step(f_k: DensityField, box,
                          step_hist: LatticeFieldHistory, dt: float,
                          monotone: bool):
@@ -346,24 +458,30 @@ def _advect_lattice_step(f_k: DensityField, box,
 
     box certifies the support of f_k; returns (next level, grown box).
     Nodes outside the grown box are exactly zero by the reachability
-    bound, so only nodes inside it are traced.
+    bound.  Inside it, only the nodes whose foot can read a nonzero value
+    of f_k are traced (_live_nodes).  Every other node reads only zeros:
+    interp_lattice sums its stencil from +0.0, so the sum stays +0.0, and
+    a monotone clip to +0.0 corners returns +0.0.  Such a node is left an
+    untouched page of the zero lattice, which reads +0.0 as well, so the
+    level is bitwise the one a trace of the whole box gives.
     """
     grid = f_k.grid
     t_next = f_k.time + dt
     values = _zero_lattice(f_k.values.shape)
     if box is None:
         return DensityField(grid, values, t_next), None
-    new_box = _grow_box(box, dt, step_hist.sup_bound())
-    (x_lo, x_hi), (v_lo, v_hi) = new_box
-    in_x = (grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi)
-    in_v = (grid.v_nodes >= v_lo) & (grid.v_nodes <= v_hi)
-    mask = in_x[:, None] & in_v[None, :]
-    if mask.any():
-        xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
-        vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
-        xf, vf = trace_states(xg, vg, t_next, f_k.time, step_hist, 1)
-        values[mask] = interp_lattice(grid, f_k.values, xf, vf,
-                                      monotone=monotone)
+    b_max = step_hist.sup_bound()
+    new_box = _grow_box(box, dt, b_max)
+    block = _box_slices(grid, new_box)
+    if block is not None:
+        rs, cs = block
+        live = _live_nodes(f_k.values, grid, rs, cs, dt, b_max, monotone)
+        if live.any():
+            xg = np.broadcast_to(grid.x_nodes[rs, None], live.shape)[live]
+            vg = np.broadcast_to(grid.v_nodes[None, cs], live.shape)[live]
+            xf, vf = trace_states(xg, vg, t_next, f_k.time, step_hist, 1)
+            values[rs, cs][live] = interp_lattice(grid, f_k.values, xf, vf,
+                                                  monotone=monotone)
     return DensityField(grid, values, t_next), new_box
 
 

@@ -178,10 +178,24 @@ def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
         pos = s / dt
         k = min(int(pos), levels - 2)
         theta = pos - k
-        row = values[k] if theta == 0.0 \
-            else (1.0 - theta) * values[k] + theta * values[k + 1]
+        if theta in (0.0, 1.0):
+            row = values[k + int(theta)]
+        else:
+            row = (1.0 - theta) * values[k] + theta * values[k + 1]
         want = interp_profile(grid.x_min, grid.dx, row, xq)
         assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_history_reads_the_last_level_table():
+    # The last level sits at theta = 1 of the last interval and reads that
+    # level's table.  The blend 0 * lower + upper turns upper's -0.0 into
+    # +0.0, and a lookup on the blend then differs in a zero's sign.
+    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 9, 4)
+    upper = np.array([-0.0, -0.0, -1.0, -0.5, -0.0, 0.25, -0.0, -0.0, -0.0])
+    hist = LatticeFieldHistory(grid, np.stack([np.ones(9), upper]), 0.5)
+    xq = np.concatenate([grid.x_nodes, np.linspace(0.0, 1.0, 23)])
+    want = interp_profile(grid.x_min, grid.dx, upper, xq)
+    assert hist.eval(0.5, xq).tobytes() == want.tobytes()
 
 
 def test_lattice_history_keeps_a_read_only_copy():

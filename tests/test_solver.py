@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vlasov_transport
-from vlasov_transport.characteristics import AnalyticFieldHistory
-from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
+from vlasov_transport import solver
+from vlasov_transport.characteristics import (AnalyticFieldHistory,
+                                              LatticeFieldHistory,
+                                              trace_states)
+from vlasov_transport.phase_space import (DomainExitError, InitialDataSpec,
+                                          build_phase_grid, interp_lattice,
+                                          sample_initial_data)
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
                                      advect_density, majorant_existence_time,
                                      solve_direct, solve_picard)
-from vlasov_transport.solver import _support_mask
+from vlasov_transport.solver import (_advect_lattice_step, _grow_box,
+                                     _support_mask)
 
 # Cap-crossing times of F' = C (1 + t F)^2, F(0) = C at cap 1e6, from an
 # independent fixed-step integration at ds = 1e-5 (step-halving deltas
@@ -305,3 +311,76 @@ def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, b_max):
     got = _support_mask(grid, box, t, b_max)
     assert got.shape == (nx, nv)
     assert np.array_equal(got, _support_mask_full_grid(grid, box, t, b_max))
+
+
+def _whole_box_step(f, box, step_hist, dt, monotone):
+    # the step with every node of the grown box traced
+    grid = f.grid
+    new_box = _grow_box(box, dt, step_hist.sup_bound())
+    (x_lo, x_hi), (v_lo, v_hi) = new_box
+    mask = (((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi))[:, None]
+            & ((grid.v_nodes >= v_lo) & (grid.v_nodes <= v_hi))[None, :])
+    values = np.zeros(mask.shape)
+    if mask.any():
+        xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
+        vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
+        xf, vf = trace_states(xg, vg, f.time + dt, f.time, step_hist, 1)
+        values[mask] = interp_lattice(grid, f.values, xf, vf,
+                                      monotone=monotone)
+    return values, new_box
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(12, 33), st.integers(12, 33), st.floats(0.05, 1.5),
+       st.booleans(), st.floats(-2.0, 2.0),
+       st.tuples(st.floats(-0.8, 0.8), st.floats(-0.7, 0.7)),
+       st.floats(0.3, 0.8), st.sampled_from(("zero", "bump", "gaussian",
+                                             "uniform")),
+       st.floats(-2.0, 2.0), st.integers(1, 4))
+def test_lattice_step_is_bitwise_a_trace_of_the_whole_box(
+        nx, nv, cells, monotone, amplitude, center, width, family, b_amp,
+        steps):
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, nx, nv)
+    dt = cells * grid.dx
+    spec = InitialDataSpec(f0_amplitude=amplitude, f0_center_x=center[0],
+                           f0_center_v=center[1], f0_width=width,
+                           b0_family=family, b0_amplitude=b_amp)
+    b0 = spec.field()
+    f, _ = sample_initial_data(spec, grid)
+    box = spec.density().support
+    for k in range(steps):
+        t = k * dt
+        step_hist = LatticeFieldHistory(
+            grid, np.stack([b0.value(grid.x_nodes - t),
+                            b0.value(grid.x_nodes - t - dt)]), dt, t0=t)
+        try:
+            want, want_box = _whole_box_step(f, box, step_hist, dt, monotone)
+        except DomainExitError:
+            return   # the box left the axis; a pruned step need not abort
+        f, box = _advect_lattice_step(f, box, step_hist, dt, monotone)
+        assert box == want_box
+        assert f.values.tobytes() == want.tobytes()
+
+
+def test_direct_step_traces_only_nodes_that_can_carry_mass(monkeypatch):
+    spec = InitialDataSpec(f0_center_v=2.0, f0_width=0.5)
+    grid = build_phase_grid(-2.5, 9.5, 0.25, 5.25, 65, 65)
+    traced = []
+
+    def counting(x, v, *args):
+        traced.append(np.size(x))
+        return trace_states(x, v, *args)
+
+    monkeypatch.setattr(solver, "trace_states", counting)
+    pruned = solve_direct(spec, grid, 1.0, 1.0 / 64.0, monotone=True)
+    pruned_count, traced[:] = sum(traced), []
+    monkeypatch.setattr(solver, "_live_nodes", lambda f, g, rs, cs, *a:
+                        np.ones((rs.stop - rs.start, cs.stop - cs.start),
+                                dtype=bool))
+    whole = solve_direct(spec, grid, 1.0, 1.0 / 64.0, monotone=True)
+    box_count = sum(traced)
+    assert len(traced) == pruned.n_levels - 1
+    assert pruned_count < box_count
+    for a, b in zip(pruned.f_levels + pruned.b_levels,
+                    whole.f_levels + whole.b_levels):
+        assert a.values.tobytes() == b.values.tobytes()
