@@ -20,7 +20,7 @@ import numpy as np
 
 from .characteristics import trace_backward_sampled
 from .field_solve import density_moment, trapezoid_uniform
-from .phase_space import (DensityField, PhaseGrid, TransportField,
+from .phase_space import (DensityField, PhaseGrid, TransportField, _frame,
                           interp_lattice, interp_profile)
 from .solver import SolutionHistory, MajorantResult, _support_mask
 
@@ -60,25 +60,25 @@ def _threshold_for(f: DensityField, threshold: float | None) -> float:
     return threshold
 
 
+def _occupied_velocities(f: DensityField, threshold: float | None):
+    """Velocity nodes of the columns where |f| exceeds the threshold."""
+    threshold = _threshold_for(f, threshold)
+    return f.grid.v_nodes[np.any(np.abs(f.values) > threshold, axis=0)]
+
+
 def velocity_support(f: DensityField, threshold: float | None = None) -> float:
     """Radius of the velocity support: max |v| with |f(x, v)| > threshold.
 
     Returns 0.0 for an empty support.
     """
-    threshold = _threshold_for(f, threshold)
-    occupied = np.any(np.abs(f.values) > threshold, axis=0)
-    if not occupied.any():
-        return 0.0
-    return float(np.max(np.abs(f.grid.v_nodes[occupied])))
+    occupied = _occupied_velocities(f, threshold)
+    return float(np.max(np.abs(occupied))) if occupied.size else 0.0
 
 
 def support_infimum(f: DensityField, threshold: float | None = None) -> float:
     """Lowest velocity carrying mass; +inf when the lattice is empty."""
-    threshold = _threshold_for(f, threshold)
-    occupied = np.any(np.abs(f.values) > threshold, axis=0)
-    if not occupied.any():
-        return math.inf
-    return float(np.min(f.grid.v_nodes[occupied]))
+    occupied = _occupied_velocities(f, threshold)
+    return float(np.min(occupied)) if occupied.size else math.inf
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ class DiagnosticsTrace:
 def compute_diagnostics(solution: SolutionHistory,
                         threshold: float | None = None) -> DiagnosticsTrace:
     grid = solution.grid
-    f0_sup = solution.f_levels[0].sup_norm()
-    thr = 1e-12 * f0_sup if threshold is None else threshold
+    thr = _threshold_for(solution.f_levels[0], threshold)
     n = solution.n_levels
     out = {name: np.zeros(n) for name in DiagnosticsTrace.COLUMNS[1:]}
     running = 0.0
@@ -205,9 +204,7 @@ def transform_rectangle(grid: PhaseGrid, u: float, times) -> PhaseGrid:
     The preimage of (x, v) at time t is ((u+1)x - ut, (u+1)v - u); the
     admissible x-interval is affine in t, so endpoint times suffice.
     """
-    a = u + 1.0
-    if a == 0.0:
-        raise ValueError("scaling parameter u = -1 is not invertible")
+    a = _frame(u)
     x_lo, x_hi = -math.inf, math.inf
     for t in times:
         lo = (grid.x_min + u * t) / a
@@ -229,7 +226,7 @@ def transform_density_level(f: DensityField, new_grid: PhaseGrid,
     With the sign factor the map solves the system for every u != -1;
     for u < -1 it negates the density.
     """
-    a = u + 1.0
+    a = _frame(u)
     xq = a * new_grid.x_nodes - u * f.time
     vq = a * new_grid.v_nodes - u
     values = interp_lattice(f.grid, f.values, xq[:, None], vq[None, :])
@@ -240,7 +237,7 @@ def transform_density_level(f: DensityField, new_grid: PhaseGrid,
 
 def transform_field_level(b: TransportField, new_grid: PhaseGrid,
                           u: float) -> TransportField:
-    a = u + 1.0
+    a = _frame(u)
     xq = np.clip(a * new_grid.x_nodes - u * b.time,
                  b.grid.x_min, b.grid.x_max)
     values = (1.0 / a) * interp_profile(b.grid.x_min, b.grid.dx, b.values, xq)

@@ -28,8 +28,9 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .field_solve import (conservative_data_constant, cumtrapz_uniform,
 from .phase_space import (DensityField, DomainExitError, InitialDataSpec,
                           TransportField, build_phase_grid)
 from .snapshot import read_snapshot, write_snapshot
-from .solver import majorant_existence_time, solve_direct, solve_picard
+from .solver import (_levels_for, majorant_existence_time, solve_direct,
+                     solve_picard)
 
 __all__ = ["ConfigError", "RunConfig", "RunArtifacts", "parse_config",
            "load_config", "run_scenario", "main"]
@@ -121,48 +123,23 @@ class RunConfig:
         return round(self.t_final / self.dt)
 
     def initial_data(self) -> InitialDataSpec:
-        return InitialDataSpec(
-            f0_family=self.f0_family, f0_amplitude=self.f0_amplitude,
-            f0_center_x=self.f0_center_x, f0_center_v=self.f0_center_v,
-            f0_width=self.f0_width, b0_family=self.b0_family,
-            b0_amplitude=self.b0_amplitude, b0_width=self.b0_width)
+        """The spec built from the fields this config shares with it."""
+        return InitialDataSpec(**{f.name: getattr(self, f.name)
+                                  for f in fields(InitialDataSpec)
+                                  if hasattr(self, f.name)})
 
     def grid(self):
         return build_phase_grid(self.x_min, self.x_max, self.v_min,
                                 self.v_max, self.nx, self.nv)
 
 
-# config key -> (attribute, value parser)
-_KEYS = {
-    "x_min": ("x_min", _parse_float),
-    "x_max": ("x_max", _parse_float),
-    "v_min": ("v_min", _parse_float),
-    "v_max": ("v_max", _parse_float),
-    "nx": ("nx", int),
-    "nv": ("nv", int),
-    "dt": ("dt", _parse_float),
-    "T": ("t_final", _parse_float),
-    "engine": ("engine", str),
-    "picard_tol": ("picard_tol", _parse_float),
-    "picard_max_iter": ("picard_max_iter", int),
-    "f0_family": ("f0_family", str),
-    "f0_amplitude": ("f0_amplitude", _parse_float),
-    "f0_center_x": ("f0_center_x", _parse_float),
-    "f0_center_v": ("f0_center_v", _parse_float),
-    "f0_width": ("f0_width", _parse_float),
-    "b0_family": ("b0_family", str),
-    "b0_amplitude": ("b0_amplitude", _parse_float),
-    "b0_width": ("b0_width", _parse_float),
-    "interp_monotone": ("interp_monotone", _parse_bool),
-    "diag_holder": ("diag_holder", _parse_bool),
-    "diag_scenario": ("diag_scenario", _parse_bool),
-    "diag_residual": ("diag_residual", _parse_bool),
-    "majorant_C": ("majorant_c", _parse_float),
-    "majorant_cap": ("majorant_cap", _parse_float),
-    "snapshot_times": ("snapshot_times", _parse_times),
-    "out_dir": ("out_dir", str),
-    "seed": ("seed", int),
-}
+# config key -> (attribute, value parser): one key per RunConfig field,
+# named after it except for two aliases, parsed by the field's type.
+_ALIASES = {"t_final": "T", "majorant_c": "majorant_C"}
+_PARSERS = {float: _parse_float, int: int, bool: _parse_bool, str: str,
+            tuple: _parse_times}
+_KEYS = {_ALIASES.get(name, name): (name, _PARSERS[kind])
+         for name, kind in get_type_hints(RunConfig).items()}
 
 _ENGINES = ("picard", "direct", "both")
 
@@ -197,19 +174,17 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _check(build, *args) -> None:
+    """Run a builder that validates its inputs; a refusal is a ConfigError."""
+    try:
+        build(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _validate(config: RunConfig) -> None:
-    if not (config.x_min < config.x_max and config.v_min < config.v_max):
-        raise ConfigError("grid bounds must be strictly increasing")
-    if config.nx < 4 or config.nv < 4:
-        raise ConfigError("nx and nv must be at least 4")
-    if config.t_final <= 0 or config.dt <= 0:
-        raise ConfigError("T and dt must be positive")
-    steps = config.t_final / config.dt
-    # a ratio that overflows (a subnormal dt) divides nothing
-    k = round(steps) if math.isfinite(steps) else 0
-    if k < 1 or abs(steps - k) > 1e-12 * max(1.0, steps):
-        raise ConfigError(
-            f"dt = {config.dt} does not divide T = {config.t_final}")
+    _check(config.grid)
+    _check(_levels_for, config.t_final, config.dt)
     if config.engine not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}")
     if config.picard_tol <= 0:
@@ -220,16 +195,20 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("majorant_C must be nonnegative")
     if config.majorant_c > 0 and config.majorant_cap <= config.majorant_c:
         raise ConfigError("majorant_cap must exceed majorant_C")
-    try:
-        config.initial_data()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    _check(config.initial_data)
+    first_time = {}
     for t in config.snapshot_times:
         level = t / config.dt
         if t < 0 or t > config.t_final + 1e-12 or not math.isfinite(level) \
                 or abs(level - round(level)) > 1e-9 * max(1.0, level):
             raise ConfigError(
                 f"snapshot time {t} is not a level time in [0, T]")
+        k = round(level)
+        if k in first_time:
+            raise ConfigError(
+                f"snapshot time {t} repeats level {k} "
+                f"(first requested as {first_time[k]})")
+        first_time[k] = t
     if config.diag_residual and config.n_steps < 2:
         raise ConfigError("residual diagnostics need at least two steps")
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -86,7 +86,7 @@ class PhaseGrid:
         if not (self.x_min < self.x_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must be strictly increasing")
         if self.nx < 4 or self.nv < 4:
-            raise ValueError("grid needs at least 4 nodes per axis")
+            raise ValueError("nx and nv must be at least 4")
 
     @property
     def dx(self) -> float:
@@ -173,6 +173,14 @@ class TransportField:
 # initial data families
 
 
+def _frame(u: float) -> float:
+    """The factor a = u + 1 of the change of frame with parameter u."""
+    a = u + 1.0
+    if a == 0.0:
+        raise ValueError("scaling parameter u = -1 is not invertible")
+    return a
+
+
 def _bump(z: np.ndarray, power: int = 2) -> np.ndarray:
     # (1 - z^2)^power on |z| < 1, zero outside; C^(power-1) across the
     # support edge.
@@ -244,9 +252,7 @@ class BumpDensity:
         # Data-level change of frame: f'(x, v) = sign(u+1) f((u+1)x,
         # (u+1)v - u); the sign keeps the moment source of the transformed
         # field equation right when u < -1 (see scaling_transform).
-        a = u + 1.0
-        if a == 0.0:
-            raise ValueError("scaling parameter u = -1 is not invertible")
+        a = _frame(u)
         amplitude = self.amplitude if a > 0.0 else -self.amplitude
         return BumpDensity(amplitude, self.center_x / a,
                            (self.center_v + u) / a, self.width / abs(a),
@@ -301,9 +307,7 @@ class BumpField:
         return abs(self.amplitude) / self.width * 8.0 / (3.0 * math.sqrt(3.0))
 
     def scaled(self, u: float) -> "BumpField":
-        a = u + 1.0
-        if a == 0.0:
-            raise ValueError("scaling parameter u = -1 is not invertible")
+        a = _frame(u)
         return BumpField(self.amplitude / a, self.width / abs(a))
 
 
@@ -335,9 +339,7 @@ class GaussianField:
         return abs(self.amplitude) / self.width * math.sqrt(2.0 / math.e)
 
     def scaled(self, u: float) -> "GaussianField":
-        a = u + 1.0
-        if a == 0.0:
-            raise ValueError("scaling parameter u = -1 is not invertible")
+        a = _frame(u)
         return GaussianField(self.amplitude / a, self.width / abs(a))
 
 
@@ -360,9 +362,7 @@ class UniformField:
         return 0.0
 
     def scaled(self, u: float) -> "UniformField":
-        a = u + 1.0
-        if a == 0.0:
-            raise ValueError("scaling parameter u = -1 is not invertible")
+        a = _frame(u)
         return UniformField(self.amplitude / a)
 
 
@@ -385,13 +385,19 @@ class ZeroField:
         return self
 
 
-_DENSITY_FAMILIES = ("zero", "bump")
-_FIELD_FAMILIES = ("zero", "bump", "gaussian", "uniform")
+_DENSITY_FAMILIES = {"zero": ZeroDensity, "bump": BumpDensity}
+_FIELD_FAMILIES = {"zero": ZeroField, "bump": BumpField,
+                   "gaussian": GaussianField, "uniform": UniformField}
 
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    """Closed-form initial state: a density family and a field family."""
+    """Closed-form initial state: a density family and a field family.
+
+    A family's parameters are the spec fields named after the family's
+    own fields, prefixed f0_ for the density and b0_ for the field:
+    f0_width is BumpDensity.width, b0_amplitude is BumpField.amplitude.
+    """
 
     f0_family: str = "bump"
     f0_amplitude: float = 1.0
@@ -411,34 +417,24 @@ class InitialDataSpec:
         self.density()
         self.field()
 
+    def _family(self, prefix: str, families: dict):
+        cls = families[getattr(self, prefix + "family")]
+        return cls(**{f.name: getattr(self, prefix + f.name)
+                      for f in fields(cls)})
+
     def density(self):
-        if self.f0_family == "zero":
-            return ZeroDensity()
-        return BumpDensity(self.f0_amplitude, self.f0_center_x,
-                           self.f0_center_v, self.f0_width, self.f0_power)
+        return self._family("f0_", _DENSITY_FAMILIES)
 
     def field(self):
-        if self.b0_family == "zero":
-            return ZeroField()
-        if self.b0_family == "uniform":
-            return UniformField(self.b0_amplitude)
-        if self.b0_family == "gaussian":
-            return GaussianField(self.b0_amplitude, self.b0_width)
-        return BumpField(self.b0_amplitude, self.b0_width)
+        return self._family("b0_", _FIELD_FAMILIES)
 
     def scaled(self, u: float) -> "InitialDataSpec":
         """Spec for the rescaled data (closed under every family here)."""
-        fam = self.density().scaled(u)
-        fld = self.field().scaled(u)
         kwargs = {}
-        if isinstance(fam, BumpDensity):
-            kwargs.update(f0_amplitude=fam.amplitude, f0_center_x=fam.center_x,
-                          f0_center_v=fam.center_v, f0_width=fam.width,
-                          f0_power=fam.power)
-        if isinstance(fld, (BumpField, GaussianField)):
-            kwargs.update(b0_amplitude=fld.amplitude, b0_width=fld.width)
-        elif isinstance(fld, UniformField):
-            kwargs.update(b0_amplitude=fld.amplitude)
+        for prefix, fam in (("f0_", self.density().scaled(u)),
+                            ("b0_", self.field().scaled(u))):
+            kwargs.update({prefix + f.name: getattr(fam, f.name)
+                           for f in fields(fam)})
         return replace(self, **kwargs)
 
 

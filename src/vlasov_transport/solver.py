@@ -126,11 +126,11 @@ class MajorantResult:
 
 def _levels_for(t_total: float, dt: float) -> int:
     if dt <= 0 or t_total <= 0:
-        raise ValueError("horizon and dt must be positive")
+        raise ValueError("T and dt must be positive")
     steps = t_total / dt
     k = round(steps) if math.isfinite(steps) else 0
     if k < 1 or abs(steps - k) > 1e-12 * max(1.0, steps):
-        raise ValueError(f"dt = {dt} does not divide the horizon {t_total}")
+        raise ValueError(f"dt = {dt} does not divide T = {t_total}")
     return k + 1
 
 

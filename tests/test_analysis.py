@@ -10,8 +10,10 @@ from vlasov_transport.analysis import (ContinuationReport, DiagnosticsTrace,
                                        derivative_rep_check, holder_quotient,
                                        pde_residual, scaling_transform,
                                        scenario_monotone_check,
-                                       support_infimum, transform_rectangle,
-                                       velocity_support)
+                                       support_infimum,
+                                       transform_density_level,
+                                       transform_field_level,
+                                       transform_rectangle, velocity_support)
 from vlasov_transport.phase_space import (DensityField, InitialDataSpec,
                                           PhaseGrid, TransportField,
                                           build_phase_grid)
@@ -123,6 +125,18 @@ def test_transform_rectangle_geometry():
         transform_rectangle(grid, -1.0, (0.0, 1.0))
     with pytest.raises(ValueError):
         transform_rectangle(grid, 1000.0, (0.0, 1.0))
+
+
+def test_transform_levels_refuse_u_minus_one():
+    # u = -1 sends every node to one point; a level map must refuse it
+    # as transform_rectangle does, not return a collapsed lattice
+    grid = _grid(nx=9, nv=9)
+    f = DensityField(grid, np.ones((9, 9)), 0.0)
+    b = TransportField(grid, np.ones(9), 0.0)
+    for transform, level in ((transform_density_level, f),
+                             (transform_field_level, b)):
+        with pytest.raises(ValueError, match="u = -1 is not invertible"):
+            transform(level, grid, -1.0)
 
 
 def test_scaling_transform_identity_is_bitwise():

@@ -1,5 +1,7 @@
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,8 @@ def test_parse_overrides_and_aliases():
     ("majorant_C = 2\nmajorant_cap = 1", "majorant_cap must exceed"),
     ("f0_family = ring", "unknown density family"),
     ("snapshot_times = 0.017", "not a level time"),
+    ("snapshot_times = 0.25, 0.25",
+     "snapshot time 0.25 repeats level 16 (first requested as 0.25)"),
     ("dt = 0.5\nT = 0.5", "residual diagnostics need at least two steps"),
 ])
 def test_config_errors(text, fragment):
@@ -137,6 +141,58 @@ def test_parse_config_returns_a_config_or_raises_config_error(text):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
+
+
+# A value of each key's own type, mostly in range, so that most documents
+# pass validation.
+typed_values = {
+    float: st.one_of(st.floats(-8.0, 8.0),
+                     st.sampled_from([0.015625, 0.25, 1e-320, -0.0, 1e6])
+                     ).map(repr),
+    int: st.integers(-2, 200).map(str),
+    bool: st.sampled_from(["true", "false", "TRUE", "False"]),
+    str: st.one_of(st.sampled_from(["picard", "direct", "both", "bump",
+                                    "zero", "gaussian", "uniform"]),
+                   st.text(st.characters(blacklist_characters="\n\r#"),
+                           max_size=8)),
+    tuple: st.lists(st.integers(0, 40), max_size=4).map(
+        lambda ks: ", ".join(repr(k * 0.015625) for k in ks)),
+}
+_DEFAULTS = RunConfig()
+typed_documents = st.dictionaries(
+    st.sampled_from(sorted(_KEYS)), st.none(), max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({
+        key: typed_values[type(getattr(_DEFAULTS, _KEYS[key][0]))]
+        for key in keys})).map(
+    lambda values: "\n".join(f"{k} = {v}" for k, v in values.items()))
+
+
+def _config_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(typed_documents, config_documents))
+def test_accepted_config_round_trips_through_every_key(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    written = "\n".join(f"{key} = {_config_text(getattr(config, attr))}"
+                        for key, (attr, _) in _KEYS.items())
+    assert parse_config(written) == config
+
+
+def test_config_keys_are_the_readme_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = [name for line in readme.read_text().splitlines()
+                  if line.startswith("| `")
+                  for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(_KEYS) == sorted(documented)
 
 
 def test_load_config_reads_files(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,9 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
                                           interpolate, sample_initial_data)
-from vlasov_transport.phase_space import (_NODE_SNAP, _cubic_table, _stencil,
-                                          _zero_lattice)
+from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
+                                          _NODE_SNAP, _cubic_table, _frame,
+                                          _stencil, _zero_lattice)
 
 
 def test_grid_spacing_and_nodes():
@@ -176,6 +178,48 @@ def test_scaled_data_change_of_frame():
     assert mirrored.scaled(-2.0) == spec
     with pytest.raises(ValueError):
         spec.scaled(-1.0)
+
+
+def test_family_registries_build_their_classes():
+    for name, cls in _DENSITY_FAMILIES.items():
+        assert type(InitialDataSpec(f0_family=name).density()) is cls
+    for name, cls in _FIELD_FAMILIES.items():
+        assert type(InitialDataSpec(b0_family=name).field()) is cls
+
+
+# frame factors a = u + 1 of either sign, kept away from 0 and overflow
+frame_factors = st.builds(lambda sign, a: sign * a, st.sampled_from([-1, 1]),
+                          st.floats(0.1, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_DENSITY_FAMILIES)),
+       st.sampled_from(sorted(_FIELD_FAMILIES)),
+       st.floats(-5.0, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.1, 3.0), st.integers(2, 6), st.floats(0.1, 3.0),
+       frame_factors, frame_factors)
+def test_spec_frame_map_composes(f0, b0, amplitude, cx, cv, width, power,
+                                 b0_width, a1, a2):
+    spec = InitialDataSpec(f0_family=f0, f0_amplitude=amplitude,
+                           f0_center_x=cx, f0_center_v=cv, f0_width=width,
+                           f0_power=power, b0_family=b0,
+                           b0_amplitude=-amplitude, b0_width=b0_width)
+    assert spec.scaled(0.0) == spec
+    u1, u2 = a1 - 1.0, a2 - 1.0
+    twice = spec.scaled(u1).scaled(u2)
+    once = spec.scaled((u1 + 1.0) * (u2 + 1.0) - 1.0)
+    for f in dataclasses.fields(InitialDataSpec):
+        got, want = getattr(twice, f.name), getattr(once, f.name)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), f.name
+        else:
+            assert got == want, f.name
+    if (f0, b0) != ("zero", "zero"):
+        with pytest.raises(ValueError) as frame_error:
+            _frame(-1.0)
+        with pytest.raises(ValueError) as spec_error:
+            spec.scaled(-1.0)
+        assert str(spec_error.value) == str(frame_error.value)
 
 
 def test_sample_initial_data_margin():
