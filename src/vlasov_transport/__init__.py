@@ -16,14 +16,12 @@ the field, and a scalar blow-up majorant.
 
 from .phase_space import (PhaseGrid, DensityField, TransportField,
                           InitialDataSpec, DomainExitError, build_phase_grid,
-                          sample_initial_data, interpolate)
-from .characteristics import (CharState, CharacteristicBundle,
-                              AnalyticFieldHistory, LatticeFieldHistory,
-                              step_characteristic, trace_backward,
+                          sample_initial_data)
+from .characteristics import (CharacteristicBundle, AnalyticFieldHistory,
+                              LatticeFieldHistory, trace_backward,
                               constant_field_oracle)
 from .field_solve import (MomentProfile, density_moment, field_from_history,
-                          advance_field, field_derivative_rep,
-                          conservative_data_constant)
+                          advance_field, conservative_data_constant)
 from .solver import (SolutionHistory, PicardTrace, MajorantResult,
                      advect_density, solve_picard, solve_direct,
                      majorant_existence_time)
@@ -40,11 +38,10 @@ __version__ = "0.1.0"
 __all__ = [
     "PhaseGrid", "DensityField", "TransportField", "InitialDataSpec",
     "DomainExitError", "build_phase_grid", "sample_initial_data",
-    "interpolate", "CharState", "CharacteristicBundle",
-    "AnalyticFieldHistory", "LatticeFieldHistory", "step_characteristic",
+    "CharacteristicBundle", "AnalyticFieldHistory", "LatticeFieldHistory",
     "trace_backward", "constant_field_oracle", "MomentProfile",
     "density_moment", "field_from_history", "advance_field",
-    "field_derivative_rep", "conservative_data_constant", "SolutionHistory",
+    "conservative_data_constant", "SolutionHistory",
     "PicardTrace", "MajorantResult", "advect_density", "solve_picard",
     "solve_direct", "majorant_existence_time", "velocity_support",
     "support_infimum", "compute_diagnostics", "derivative_rep_check",

@@ -109,10 +109,9 @@ class DiagnosticsTrace:
             yield tuple(float(c[k]) for c in cols)
 
 
-def compute_diagnostics(solution: SolutionHistory,
-                        threshold: float | None = None) -> DiagnosticsTrace:
+def compute_diagnostics(solution: SolutionHistory) -> DiagnosticsTrace:
     grid = solution.grid
-    thr = _threshold_for(solution.f_levels[0], threshold)
+    thr = _threshold_for(solution.f_levels[0], None)
     n = solution.n_levels
     out = {name: np.zeros(n) for name in DiagnosticsTrace.COLUMNS[1:]}
     running = 0.0
@@ -278,13 +277,17 @@ def scaling_transform(solution: SolutionHistory, u: float) -> SolutionHistory:
                            tuple(b_levels), initial_data=data)
 
 
-def pde_residual(solution: SolutionHistory, density_floor: float = 1e-10):
+# Nodes at or below this |f| carry no mass for pde_residual.
+_DENSITY_FLOOR = 1e-10
+
+
+def pde_residual(solution: SolutionHistory):
     """Centered finite-difference residuals of both governing equations.
 
     Returns (density_residual, field_residual): sup of
 
         df/dt + v df/dx + B df/dv        over interior nodes and levels
-                                         where |f| > density_floor,
+                                         where |f| > _DENSITY_FLOOR,
         dB/dt + dB/dx - rho              over interior nodes and levels.
 
     Needs at least three stored levels for the centered time difference.
@@ -306,7 +309,7 @@ def pde_residual(solution: SolutionHistory, density_floor: float = 1e-10):
         dxf = (f[k][2:, 1:-1] - f[k][:-2, 1:-1]) / (2.0 * grid.dx)
         dvf = (f[k][1:-1, 2:] - f[k][1:-1, :-2]) / (2.0 * grid.dv)
         res_f = dtf + v_inner * dxf + b[k, 1:-1, None] * dvf
-        carrying = np.abs(interior) > density_floor
+        carrying = np.abs(interior) > _DENSITY_FLOOR
         if carrying.any():
             level_res.append(np.max(np.abs(res_f[carrying])))
     density_res = float(np.max(level_res)) if level_res else 0.0
@@ -330,20 +333,22 @@ class ScenarioReport:
         return self.passed
 
 
-def scenario_monotone_check(solution: SolutionHistory,
-                            field_min_tol: float = 1e-8,
-                            support_drop_tol: float | None = None,
-                            threshold: float | None = None) -> ScenarioReport:
+# Slack below zero that scenario_monotone_check allows the field minimum.
+_FIELD_MIN_TOL = 1e-8
+
+
+def scenario_monotone_check(solution: SolutionHistory) -> ScenarioReport:
     """Check the sign-definite scenario: B stays nonnegative and the lowest
     occupied velocity never falls.
 
     Hypotheses on the data (checked first, violations raise
     ScenarioHypothesisError): f(0) >= 0 with velocity support strictly
-    above 1, and B(0) >= 0.
+    above 1, and B(0) >= 0.  B may dip _FIELD_MIN_TOL below zero, and the
+    lowest occupied velocity may fall by one velocity cell per level.
     """
     f0 = solution.f_levels[0]
     b0 = solution.b_levels[0]
-    thr = _threshold_for(f0, threshold)
+    thr = _threshold_for(f0, None)
     if float(f0.values.min()) < 0.0:
         raise ScenarioHypothesisError("initial density must be nonnegative")
     inf0 = support_infimum(f0, thr)
@@ -353,15 +358,14 @@ def scenario_monotone_check(solution: SolutionHistory,
     if float(b0.values.min()) < 0.0:
         raise ScenarioHypothesisError("initial field must be nonnegative")
 
-    if support_drop_tol is None:
-        support_drop_tol = solution.grid.dv * (1.0 + 1e-9)
+    support_drop_tol = solution.grid.dv * (1.0 + 1e-9)
     field_min = min(float(b.values.min()) for b in solution.b_levels)
     infima = tuple(support_infimum(f, thr) for f in solution.f_levels)
     drops = [infima[k] - infima[k + 1] for k in range(len(infima) - 1)
              if math.isfinite(infima[k]) and math.isfinite(infima[k + 1])]
     max_drop = max(drops) if drops else 0.0
-    passed = (field_min >= -field_min_tol) and (max_drop <= support_drop_tol)
-    return ScenarioReport(passed, field_min, field_min_tol, infima,
+    passed = (field_min >= -_FIELD_MIN_TOL) and (max_drop <= support_drop_tol)
+    return ScenarioReport(passed, field_min, _FIELD_MIN_TOL, infima,
                           max_drop, support_drop_tol)
 
 

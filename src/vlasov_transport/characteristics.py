@@ -17,20 +17,17 @@ between trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .phase_space import (DomainExitError, PhaseGrid, TransportField,
-                          _cubic_table, interp_profile)
+from .phase_space import (DomainExitError, PhaseGrid, _cubic_table,
+                          interp_profile)
 
 __all__ = [
-    "CharState",
     "CharacteristicBundle",
     "AnalyticFieldHistory",
     "LatticeFieldHistory",
-    "step_characteristic",
     "trace_states",
     "trace_backward",
     "trace_backward_sampled",
@@ -38,15 +35,6 @@ __all__ = [
 ]
 
 _TIME_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class CharState:
-    """One trajectory sample: position x, velocity v, at time s."""
-
-    x: float
-    v: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -67,7 +55,7 @@ class CharacteristicBundle:
 class AnalyticFieldHistory:
     """Field history from a closed-form B(s, x), defined on all of R."""
 
-    def __init__(self, fn: Callable, sup_bound: float | None = None):
+    def __init__(self, fn: Callable, sup_bound: float):
         self._fn = fn
         self._sup = sup_bound
 
@@ -120,15 +108,6 @@ class LatticeFieldHistory:
         self._half_tables = _cubic_table(0.5 * self.values[:-1]
                                          + 0.5 * self.values[1:])
 
-    @classmethod
-    def from_fields(cls, fields: Sequence[TransportField],
-                    dt: float) -> "LatticeFieldHistory":
-        if not fields:
-            raise ValueError("history needs at least one level")
-        grid = fields[0].grid
-        stack = np.stack([f.values for f in fields])
-        return cls(grid, stack, dt, t0=fields[0].time)
-
     @property
     def t_max(self) -> float:
         return self.t0 + (self.values.shape[0] - 1) * self.dt
@@ -146,14 +125,13 @@ class LatticeFieldHistory:
             raise ValueError(
                 f"time {s} outside history range [{self.t0}, {self.t_max}]")
         pos = min(max(pos, 0.0), float(levels - 1))
-        k = min(int(pos), levels - 2) if levels > 1 else 0
+        # int floors, so theta < 1; the last level reads its own table.
+        k = int(pos)
         theta = pos - k
         # The interpolant is linear in the node values, so blending the
         # two levels first costs one lookup instead of two.
         if theta == 0.0:
             table = self._tables[k]
-        elif theta == 1.0:
-            table = self._tables[k + 1]
         elif theta == 0.5:
             table = self._half_tables[k]
         else:
@@ -180,13 +158,6 @@ def _rk4_step(x, v, s, ds, field):
     v_new = v + (ds / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return x_new, v_new
 
-
-def step_characteristic(state: CharState, field, ds: float) -> CharState:
-    """Advance a single trajectory sample by one RK4 step of size ds."""
-    x = np.asarray(state.x, dtype=float)
-    v = np.asarray(state.v, dtype=float)
-    x_new, v_new = _rk4_step(x, v, state.s, ds, field)
-    return CharState(float(x_new), float(v_new), state.s + ds)
 
 def trace_states(x, v, t: float, s_end: float, field, substeps: int):
     """Integrate arrays of states from time t to s_end in uniform substeps."""
@@ -218,12 +189,13 @@ def trace_backward(grid: PhaseGrid, field, t: float,
 
 
 def trace_backward_sampled(x, v, t: float, sample_times: Sequence[float],
-                           field, substeps_per_interval: int = 1):
+                           field):
     """Backward trace with states recorded at given descending times.
 
-    sample_times must start at t and decrease.  Returns two arrays with a
-    leading axis over sample times.  Used for path integrals along the
-    characteristics, for instance in derivative representations.
+    sample_times must start at t and decrease; one RK4 step spans each
+    interval between them.  Returns two arrays with a leading axis over
+    sample times.  Used for path integrals along the characteristics, for
+    instance in derivative representations.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0 or abs(times[0] - t) > _TIME_SNAP:
@@ -235,8 +207,7 @@ def trace_backward_sampled(x, v, t: float, sample_times: Sequence[float],
     xs = [x.copy()]
     vs = [v.copy()]
     for k in range(times.size - 1):
-        x, v = trace_states(x, v, times[k], times[k + 1], field,
-                            substeps_per_interval)
+        x, v = trace_states(x, v, times[k], times[k + 1], field, 1)
         xs.append(x.copy())
         vs.append(v.copy())
     return np.stack(xs), np.stack(vs)

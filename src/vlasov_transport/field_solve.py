@@ -11,8 +11,8 @@ spatial derivative of the density.  All time integrals here use the
 composite trapezoid rule on the uniform level spacing; spatial evaluation
 between nodes uses the cubic lattice interpolation from phase_space.
 Moment profiles read as zero outside their axis (they inherit the
-density's compact support), while an initial field given as a lattice
-raises when evaluated beyond its truncation range.
+density's compact support); the initial field is a closed-form callable,
+defined everywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "density_moment",
     "field_from_history",
     "advance_field",
-    "field_derivative_rep",
     "conservative_data_constant",
     "field_sup_bound_check",
     "field_derivative_bound_check",
@@ -92,13 +91,8 @@ def density_moment(f: DensityField) -> MomentProfile:
     return MomentProfile(f.grid, values, f.time)
 
 
-def _eval_initial_field(b0, x):
-    if isinstance(b0, TransportField):
-        return interp_profile(b0.grid.x_min, b0.grid.dx, b0.values, x,
-                              out_of_range="error")
-    if callable(b0):
-        return np.asarray(b0(np.asarray(x, dtype=float)), dtype=float)
-    raise TypeError("initial field must be callable or a TransportField")
+def _eval_initial_field(b0: Callable, x):
+    return np.asarray(b0(np.asarray(x, dtype=float)), dtype=float)
 
 
 def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
@@ -180,19 +174,6 @@ def _finish_field(b_t: TransportField, shift, rho_next: MomentProfile,
                           b_t.time + dt)
 
 
-def field_derivative_rep(b0_derivative, dxf_levels: Sequence[DensityField],
-                         t: float, monotone: bool = False) -> TransportField:
-    """Spatial derivative of the field from the differentiated line integral:
-
-        dxB(t, x) = B0'(x - t) + int_0^t int dxf(s, x - t + s, v) dv ds.
-
-    dxf_levels holds lattices of the density's x-derivative at uniform
-    levels on [0, t].  Returns the derivative profile at time t.
-    """
-    moments = [density_moment(lv) for lv in dxf_levels]
-    return field_from_history(b0_derivative, moments, t, monotone=monotone)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of an a priori bound check over the stored levels."""
@@ -237,19 +218,17 @@ def field_sup_bound_check(b_sups: np.ndarray, p_series: np.ndarray, dt: float,
 
 
 def field_derivative_bound_check(dxb_sups: np.ndarray, dxf_sups: np.ndarray,
-                                 dt: float, c_t: float,
-                                 fd_slack: float = 0.0) -> BoundReport:
+                                 dt: float, c_t: float) -> BoundReport:
     """Check |dxB(t_k)|_inf <= C_T (1 + int_0^{t_k} |dxf|_inf) on level data.
 
     C_T follows the same convention as conservative_data_constant with the
     initial field's derivative sup and the largest support radius in place
-    of the two data sups.  fd_slack absorbs the finite-difference error of
-    the measured derivatives.
+    of the two data sups.
     """
     dxb_sups = np.asarray(dxb_sups, dtype=float)
     dxf_sups = np.asarray(dxf_sups, dtype=float)
     integral = cumtrapz_uniform(dxf_sups, dt)
-    bound = c_t * (1.0 + integral) + fd_slack + 1e-12
+    bound = c_t * (1.0 + integral) + 1e-12
     ratios = dxb_sups / bound
     worst = int(np.argmax(ratios))
     return BoundReport(bool(np.all(dxb_sups <= bound)), float(ratios[worst]),

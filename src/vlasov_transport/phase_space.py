@@ -55,7 +55,6 @@ __all__ = [
     "ZeroField",
     "build_phase_grid",
     "sample_initial_data",
-    "interpolate",
     "interp_profile",
     "interp_lattice",
 ]
@@ -83,6 +82,9 @@ class PhaseGrid:
     nv: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max,
+                                       self.v_min, self.v_max))):
+            raise ValueError("grid bounds must be finite")
         if not (self.x_min < self.x_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must be strictly increasing")
         if self.nx < 4 or self.nv < 4:
@@ -626,22 +628,3 @@ def interp_lattice(grid: PhaseGrid, values: np.ndarray, xq, vq,
     out = out.reshape(shape)
     return float(out) if shape == () else out
 
-
-def interpolate(field, *coords, monotone: bool = False):
-    """Interpolate a DensityField at (x, v) or a TransportField at (x,).
-
-    Density queries outside the grid read zero.  Field queries outside the
-    spatial axis raise DomainExitError.
-    """
-    if isinstance(field, DensityField):
-        if len(coords) != 2:
-            raise TypeError("density interpolation takes coordinates (x, v)")
-        return interp_lattice(field.grid, field.values, coords[0], coords[1],
-                              monotone=monotone)
-    if isinstance(field, TransportField):
-        if len(coords) != 1:
-            raise TypeError("field interpolation takes a single coordinate x")
-        return interp_profile(field.grid.x_min, field.grid.dx, field.values,
-                              coords[0], out_of_range="error",
-                              monotone=monotone)
-    raise TypeError(f"cannot interpolate object of type {type(field)!r}")

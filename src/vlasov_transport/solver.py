@@ -134,8 +134,11 @@ def _levels_for(t_total: float, dt: float) -> int:
     return k + 1
 
 
-def _support_mask(grid: PhaseGrid, box, t: float, b_max: float,
-                  pad_cells: float = 2.0) -> np.ndarray:
+# Cells of padding on each side of _support_mask's window.
+_MASK_PAD_CELLS = 2.0
+
+
+def _support_mask(grid: PhaseGrid, box, t: float, b_max: float) -> np.ndarray:
     """Nodes whose backward foot point can land in the box.
 
     Along any trajectory the velocity change over [0, t] is at most
@@ -147,10 +150,10 @@ def _support_mask(grid: PhaseGrid, box, t: float, b_max: float,
     """
     (x_lo, x_hi), (v_lo, v_hi) = box
     grow = t * b_max * (1.0 + 1e-9) + 1e-12
-    pad_v = pad_cells * grid.dv
+    pad_v = _MASK_PAD_CELLS * grid.dv
     v_ok = ((grid.v_nodes >= v_lo - grow - pad_v)
             & (grid.v_nodes <= v_hi + grow + pad_v))
-    wiggle = t * t * b_max * (1.0 + 1e-9) + pad_cells * grid.dx + 1e-12
+    wiggle = t * t * b_max * (1.0 + 1e-9) + _MASK_PAD_CELLS * grid.dx + 1e-12
     mask = np.zeros((grid.nx, grid.nv), dtype=bool)
     # v_ok is one run of columns (the v-nodes increase); the x-window is
     # only worked out there.
@@ -162,35 +165,28 @@ def _support_mask(grid: PhaseGrid, box, t: float, b_max: float,
     return mask
 
 
-def advect_density(f0, grid: PhaseGrid, field, t: float, substeps: int,
-                   active: bool = True) -> DensityField:
+def advect_density(f0, grid: PhaseGrid, field, t: float,
+                   substeps: int) -> DensityField:
     """Solve the linear kinetic equation at time t for a given field.
 
     f0 is an initial-data family (value callable, support box, sup norm);
     the result evaluates f0 at the backward foot points, so the sup norm
-    of the output never exceeds the sup norm of f0.
+    of the output never exceeds the sup norm of f0.  Only nodes whose foot
+    can land in f0's support box are traced (_support_mask); every other
+    node, and every node of a family without a box, is exactly zero.
     """
     if t == 0.0:
         values = f0.value(grid.x_nodes[:, None], grid.v_nodes[None, :])
         return DensityField(grid, values, 0.0)
-    box = getattr(f0, "support", None)
-    if box is None and getattr(f0, "sup_norm", None) == 0.0:
-        return DensityField(grid, _zero_lattice((grid.nx, grid.nv)), t)
-    b_max = field.sup_bound() if active else None
-    if box is not None and b_max is not None:
-        values = _zero_lattice((grid.nx, grid.nv))
-        mask = _support_mask(grid, box, t, b_max)
-        if not mask.any():
-            return DensityField(grid, values, t)
+    values = _zero_lattice((grid.nx, grid.nv))
+    if f0.support is None:
+        return DensityField(grid, values, t)
+    mask = _support_mask(grid, f0.support, t, field.sup_bound())
+    if mask.any():
         xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
         vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
         x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
         values[mask] = f0.value(x0, v0)
-    else:
-        xg = np.broadcast_to(grid.x_nodes[:, None], (grid.nx, grid.nv))
-        vg = np.broadcast_to(grid.v_nodes[None, :], (grid.nx, grid.nv))
-        x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
-        values = f0.value(x0, v0)
     return DensityField(grid, values, t)
 
 
@@ -493,6 +489,8 @@ def majorant_existence_time(c: float, cap: float, ds: float = 1e-3,
     between the last sample below the cap and the first at or above it),
     or blowup_time = inf if the cap is never reached before the horizon.
     """
+    if not all(map(math.isfinite, (c, cap, ds, horizon))):
+        raise ValueError("majorant arguments must be finite")
     if c < 0:
         raise ValueError("majorant constant must be nonnegative")
     if cap <= c:

@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vlasov_transport.characteristics import (AnalyticFieldHistory, CharState,
+from vlasov_transport.characteristics import (AnalyticFieldHistory,
                                               LatticeFieldHistory,
                                               constant_field_oracle,
-                                              step_characteristic,
                                               trace_backward,
                                               trace_backward_sampled,
                                               trace_states)
-from vlasov_transport.phase_space import (DomainExitError, TransportField,
-                                          build_phase_grid, interp_profile)
+from vlasov_transport.phase_space import (DomainExitError, build_phase_grid,
+                                          interp_profile)
 
 
 def test_constant_field_single_step():
     # B = 2, one unit step from rest: X = b s^2 / 2 = 1, V = b s = 2.
     field = AnalyticFieldHistory.constant(2.0)
-    state = step_characteristic(CharState(0.0, 0.0, 0.0), field, 1.0)
-    assert state.x == 1.0
-    assert state.v == 2.0
-    assert state.s == 1.0
+    x, v = trace_states(np.zeros(1), np.zeros(1), 0.0, 1.0, field, 1)
+    assert x.tolist() == [1.0]
+    assert v.tolist() == [2.0]
 
 
 def test_constant_field_oracle_formula():
@@ -225,17 +223,8 @@ def test_lattice_history_shape_validation():
         LatticeFieldHistory(grid, np.zeros((3, 5)), 0.1)
     with pytest.raises(ValueError):
         LatticeFieldHistory(grid, np.zeros((3, 9)), 0.0)
-    with pytest.raises(ValueError):
-        LatticeFieldHistory.from_fields([], 0.1)
-
-
-def test_from_fields_preserves_levels():
-    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 9, 4)
-    fields = [TransportField(grid, np.full(9, float(k)), 0.1 * k)
-              for k in range(3)]
-    hist = LatticeFieldHistory.from_fields(fields, 0.1)
-    assert hist.t0 == 0.0
-    np.testing.assert_array_equal(hist.values[2], np.full(9, 2.0))
+    with pytest.raises(ValueError, match="at least one level"):
+        LatticeFieldHistory(grid, np.zeros((0, 9)), 0.1)
 
 
 def test_trace_backward_sampled_matches_plain_trace():
@@ -243,13 +232,12 @@ def test_trace_backward_sampled_matches_plain_trace():
     x = np.array([0.1, -0.6])
     v = np.array([0.4, 0.2])
     times = np.array([0.75, 0.5, 0.25, 0.0])
-    xs, vs = trace_backward_sampled(x, v, 0.75, times, field,
-                                    substeps_per_interval=2)
+    xs, vs = trace_backward_sampled(x, v, 0.75, times, field)
     assert xs.shape == (4, 2)
     np.testing.assert_array_equal(xs[0], x)
     # each recorded row equals the equivalent uniform trace, bitwise
     for k, t_k in enumerate(times[1:], start=1):
-        xk, vk = trace_states(x, v, 0.75, t_k, field, 2 * k)
+        xk, vk = trace_states(x, v, 0.75, t_k, field, k)
         assert np.array_equal(xs[k], xk) and np.array_equal(vs[k], vk)
 
 

@@ -363,6 +363,25 @@ def test_main_majorant_json(capsys):
     assert main(["majorant", "--C", "-1", "--cap", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["majorant", "--C", "1", "--cap", "10", "--horizon", "inf"],
+     "majorant arguments must be finite"),
+    (["majorant", "--C", "nan", "--cap", "10"],
+     "majorant arguments must be finite"),
+    (["transform", "--u", "1", "--x-max", "inf", "{src}", "{out}"],
+     "grid bounds must be finite"),
+])
+def test_main_rejects_non_finite_flags(tmp_path, capsys, argv, fragment):
+    src = tmp_path / "b.snap"
+    out = tmp_path / "out.snap"
+    write_snapshot(src, np.sin(np.linspace(-3.0, 3.0, 65)), 0.0)
+    argv = [a.format(src=src, out=out) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()
+
+
 def test_main_transform_identity_and_mirror(tmp_path, capsys):
     x = np.linspace(-3.0, 3.0, 65)
     values = np.sin(x + 0.3)

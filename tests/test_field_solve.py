@@ -8,7 +8,6 @@ from vlasov_transport.field_solve import (BoundReport, MomentProfile,
                                           conservative_data_constant,
                                           cumtrapz_uniform, density_moment,
                                           field_derivative_bound_check,
-                                          field_derivative_rep,
                                           field_from_history,
                                           field_sup_bound_check,
                                           trapezoid_uniform)
@@ -206,7 +205,8 @@ def test_field_derivative_rep_zero_density():
     b0 = BumpField(0.5, 1.0)
     levels = [DensityField(grid, np.zeros((grid.nx, grid.nv)), 0.1 * k)
               for k in range(4)]
-    dxb = field_derivative_rep(b0.derivative, levels, 0.3)
+    dxb = field_from_history(b0.derivative,
+                             [density_moment(lv) for lv in levels], 0.3)
     np.testing.assert_allclose(dxb.values,
                                b0.derivative(grid.x_nodes - 0.3), atol=1e-15)
 

@@ -13,7 +13,7 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           UniformField, ZeroDensity,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
-                                          interpolate, sample_initial_data)
+                                          sample_initial_data)
 from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
                                           _NODE_SNAP, _cubic_table, _frame,
                                           _stencil, _zero_lattice)
@@ -33,6 +33,10 @@ def test_grid_validation():
         PhaseGrid(1.0, -1.0, 0.0, 1.0, 8, 8)
     with pytest.raises(ValueError):
         PhaseGrid(0.0, 1.0, 0.0, 1.0, 3, 8)
+    for bounds in [(0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0),
+                   (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 0.0, math.nan)]:
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            PhaseGrid(*bounds, 8, 8)
 
 
 def test_grid_nodes_are_read_only():
@@ -329,20 +333,6 @@ def test_monotone_clip_lattice_preserves_sign_and_sup():
     vq = rng.uniform(0.0, 5.0, 400)
     clipped = interp_lattice(grid, values, xq, vq, monotone=True)
     assert clipped.min() >= 0.0 and clipped.max() <= 1.0
-
-
-def test_interpolate_dispatch():
-    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 5, 5)
-    f = DensityField(grid, np.ones((5, 5)), 0.0)
-    b = TransportField(grid, np.arange(5.0), 0.0)
-    assert interpolate(f, 0.5, 0.5) == pytest.approx(1.0)
-    assert interpolate(b, 0.25) == pytest.approx(1.0)
-    with pytest.raises(TypeError):
-        interpolate(f, 0.5)
-    with pytest.raises(TypeError):
-        interpolate(b, 0.5, 0.5)
-    with pytest.raises(DomainExitError):
-        interpolate(b, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,12 @@ def test_advect_density_active_filter_changes_nothing():
     f0 = spec.density()
     grid = _grid()
     field = AnalyticFieldHistory(lambda s, x: 0.3 * np.cos(x), sup_bound=0.3)
-    masked = advect_density(f0, grid, field, 0.25, 8, active=True)
-    full = advect_density(f0, grid, field, 0.25, 8, active=False)
-    assert np.array_equal(masked.values, full.values)
+    masked = advect_density(f0, grid, field, 0.25, 8)
+    # every node traced, the mask left out
+    xg = np.broadcast_to(grid.x_nodes[:, None], (grid.nx, grid.nv))
+    vg = np.broadcast_to(grid.v_nodes[None, :], (grid.nx, grid.nv))
+    full = f0.value(*trace_states(xg, vg, 0.25, 0.0, field, 8))
+    assert np.array_equal(masked.values, full)
     assert masked.time == 0.25
 
 
@@ -230,6 +233,13 @@ def test_majorant_validates_arguments():
         majorant_existence_time(1.0, 10.0, ds=0.0)
     with pytest.raises(ValueError):
         majorant_existence_time(1.0, 10.0, horizon=-1.0)
+    for args in [(math.nan, 10.0), (1.0, math.inf), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            majorant_existence_time(*args)
+    for kwargs in [{"ds": math.nan}, {"ds": math.inf},
+                   {"horizon": math.inf}, {"horizon": math.nan}]:
+        with pytest.raises(ValueError, match="must be finite"):
+            majorant_existence_time(1.0, 10.0, **kwargs)
 
 
 def test_majorant_zero_constant_never_blows_up():
