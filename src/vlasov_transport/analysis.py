@@ -163,9 +163,11 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     hist = solution.field_history()
     if box is None:
         return 0.0, 0.0
-    pad = ((box[0][0] - grid.dx, box[0][1] + grid.dx),
-           (box[1][0] - grid.dv, box[1][1] + grid.dv))
-    mask = _support_mask(grid, pad, t, hist.sup_bound())
+    # Three cells round the box, so the finite differences next to the
+    # support are compared too.
+    pad = ((box[0][0] - 3 * grid.dx, box[0][1] + 3 * grid.dx),
+           (box[1][0] - 3 * grid.dv, box[1][1] + 3 * grid.dv))
+    mask = _support_mask(grid, pad, t, *hist.range_bound())
     if not mask.any():
         return 0.0, 0.0
     xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]

@@ -68,8 +68,9 @@ class AnalyticFieldHistory:
     def eval(self, s: float, x):
         return np.asarray(self._fn(s, np.asarray(x, dtype=float)), dtype=float)
 
-    def sup_bound(self):
-        return self._sup
+    def range_bound(self):
+        """(lo, hi) bounding every value eval returns: +-sup_bound."""
+        return -self._sup, self._sup
 
 
 class LatticeFieldHistory:
@@ -80,7 +81,9 @@ class LatticeFieldHistory:
     a read-only copy of its levels and builds the power-form tables of
     every level and of every halfway blend once, at construction.  A time
     on a level or halfway between two reads its table; any other time
-    builds the table of its blend.  Queries outside the spatial axis
+    builds the table of its blend.  range_bound() bounds every value eval
+    can return, overshoot of the cubic between nodes included; sup_bound()
+    is the largest node value only.  Queries outside the spatial axis
     raise DomainExitError, with the time appended: a trajectory that
     leaves the truncated domain cannot be integrated further, the domain
     was sized too small.
@@ -107,6 +110,7 @@ class LatticeFieldHistory:
         # step of one level spacing land.
         self._half_tables = _cubic_table(0.5 * self.values[:-1]
                                          + 0.5 * self.values[1:])
+        self._range = None
 
     @property
     def t_max(self) -> float:
@@ -114,6 +118,22 @@ class LatticeFieldHistory:
 
     def sup_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    def range_bound(self):
+        """(lo, hi) bounding every value eval returns, up to rounding.
+
+        On a cell row, |p(t) - a0| <= |a1| + |a2| + |a3| for t in [0, 1].
+        A blend at any other theta is a pointwise convex combination of
+        two level interpolants, so the rows of the tables bound it too.
+        Worked out on the first call, from the tables built already.
+        """
+        if self._range is None:
+            rows = np.concatenate([self._tables.reshape(-1, 4),
+                                   self._half_tables.reshape(-1, 4)])
+            wobble = np.abs(rows[:, 1:]).sum(axis=1)
+            self._range = (float(np.min(rows[:, 0] - wobble)),
+                           float(np.max(rows[:, 0] + wobble)))
+        return self._range
 
     def eval(self, s: float, x):
         levels = self.values.shape[0]

@@ -89,6 +89,9 @@ class PhaseGrid:
             raise ValueError("grid bounds must be strictly increasing")
         if self.nx < 4 or self.nv < 4:
             raise ValueError("nx and nv must be at least 4")
+        # finite bounds whose span overflows
+        if not (math.isfinite(self.dx) and math.isfinite(self.dv)):
+            raise ValueError("grid spacing must be finite")
 
     @property
     def dx(self) -> float:

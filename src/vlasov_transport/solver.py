@@ -25,8 +25,11 @@ Both engines confine the expensive characteristic tracing to an active
 region around the density support.  Outside it the density is exactly
 zero: a trajectory whose velocity stays too far from the support velocity
 band, or whose position cannot reach the support spatially in the time
-available, cannot carry mass.  The bounds use the measured field sup, so
-the filter is exact, not a heuristic.
+available, cannot carry mass.  Picard bounds the reach by a signed range
+that every value of the interpolated field history lies in
+(LatticeFieldHistory.range_bound), so it drops only nodes whose foot
+provably misses the support.  Direct grows its support box by the field's
+largest node value per step.
 
 The same bound keeps memory in step with the support.  Each engine builds
 a density level on a zero lattice that is resident only where written
@@ -134,26 +137,48 @@ def _levels_for(t_total: float, dt: float) -> int:
     return k + 1
 
 
-# Cells of padding on each side of _support_mask's window.
-_MASK_PAD_CELLS = 2.0
+# Cells of slack on a foot window, in both engines: a foot's coordinate
+# carries float error of about 1e-13 cells, and in a direct step _stencil
+# snaps a query within 1e-8 cells onto a node, which can move it into the
+# next cell.
+_ROUNDING_SLACK = 1e-6
 
 
-def _support_mask(grid: PhaseGrid, box, t: float, b_max: float) -> np.ndarray:
+def _support_mask(grid: PhaseGrid, box, t: float, lo: float,
+                  hi: float) -> np.ndarray:
     """Nodes whose backward foot point can land in the box.
 
-    Along any trajectory the velocity change over [0, t] is at most
-    t * b_max, so the foot lies in x - t*v +- t^2 * b_max and the foot
-    velocity in v +- t * b_max.  The signed window matters: it also keeps
-    every intermediate position inside the hull of the node and the foot
-    range, so masked trajectories never query the field outside the grid
-    (an unsigned |v|-ball would trace nodes whose feet provably exit).
+    lo <= B <= hi wherever the trace reads the field.  One RK4 step of
+    size h maps (X, V) to
+
+        V' = V + h (k1v + 2 k2v + 2 k3v + k4v) / 6,
+        X' = X + h V + h^2 (k1v + k2v + k3v) / 6,
+
+    and every stage value kiv lies in [lo, hi].  So V' - V lies in
+    h [lo, hi] and X' - X - h V in (h^2 / 2) [lo, hi].  Composing k steps
+    with k h = -t, the foot of node (x, v) lies in
+
+        V(0) in v - t [lo, hi],    X(0) in x - t v + (t^2 / 2) [lo, hi],
+
+    for the discrete trace as for the ODE.  A node is kept if both ranges
+    meet the box.  The reach terms t [lo, hi] and (t^2 / 2) [lo, hi] are
+    widened by 1e-9 of their size and by 1e-12, and the box by
+    _ROUNDING_SLACK cells, for rounding.  For a sign-definite field the
+    velocity moves one way only, and so does the window.
     """
     (x_lo, x_hi), (v_lo, v_hi) = box
-    grow = t * b_max * (1.0 + 1e-9) + 1e-12
-    pad_v = _MASK_PAD_CELLS * grid.dv
-    v_ok = ((grid.v_nodes >= v_lo - grow - pad_v)
-            & (grid.v_nodes <= v_hi + grow + pad_v))
-    wiggle = t * t * b_max * (1.0 + 1e-9) + _MASK_PAD_CELLS * grid.dx + 1e-12
+    size = max(abs(lo), abs(hi))
+
+    def reach(c):
+        slack = c * size * 1e-9 + 1e-12
+        return c * lo - slack, c * hi + slack
+
+    reach_lo, reach_hi = reach(t)
+    pad_v = _ROUNDING_SLACK * grid.dv
+    v_ok = ((grid.v_nodes >= v_lo + reach_lo - pad_v)
+            & (grid.v_nodes <= v_hi + reach_hi + pad_v))
+    reach_lo, reach_hi = reach(0.5 * t * t)
+    pad_x = _ROUNDING_SLACK * grid.dx
     mask = np.zeros((grid.nx, grid.nv), dtype=bool)
     # v_ok is one run of columns (the v-nodes increase); the x-window is
     # only worked out there.
@@ -161,7 +186,8 @@ def _support_mask(grid: PhaseGrid, box, t: float, b_max: float) -> np.ndarray:
     if cols.size:
         band = slice(cols[0], cols[-1] + 1)
         foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, band]
-        mask[:, band] = (foot + wiggle >= x_lo) & (foot - wiggle <= x_hi)
+        mask[:, band] = ((foot + reach_hi + pad_x >= x_lo)
+                         & (foot + reach_lo - pad_x <= x_hi))
     return mask
 
 
@@ -172,8 +198,9 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
     f0 is an initial-data family (value callable, support box, sup norm);
     the result evaluates f0 at the backward foot points, so the sup norm
     of the output never exceeds the sup norm of f0.  Only nodes whose foot
-    can land in f0's support box are traced (_support_mask); every other
-    node, and every node of a family without a box, is exactly zero.
+    can land in f0's support box are traced (_support_mask, on the
+    field's range_bound); every other node, whose foot provably misses
+    the box, and every node of a family without a box, is +0.0.
     """
     if t == 0.0:
         values = f0.value(grid.x_nodes[:, None], grid.v_nodes[None, :])
@@ -181,7 +208,7 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
     values = _zero_lattice((grid.nx, grid.nv))
     if f0.support is None:
         return DensityField(grid, values, t)
-    mask = _support_mask(grid, f0.support, t, field.sup_bound())
+    mask = _support_mask(grid, f0.support, t, *field.range_bound())
     if mask.any():
         xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
         vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
@@ -373,10 +400,6 @@ def _box_moment(f: DensityField, box) -> MomentProfile:
 # an edge cell; 1.25 inside), so a cubic profile is bounded by that times
 # its largest node value.  2 bounds it with room for rounding.
 _LEBESGUE_BOUND = 2.0
-# Cells of slack on a foot window: _stencil snaps a query within 1e-8
-# cells onto a node, which can move it into the next cell, and a foot's
-# coordinate carries float error of about 1e-13 cells.
-_ROUNDING_SLACK = 1e-6
 
 
 def _read_offsets(lo, hi, n: int, below: int, above: int):

@@ -184,6 +184,42 @@ def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
         assert got.tobytes() == want.tobytes()
 
 
+def test_analytic_history_range_is_the_symmetric_sup():
+    assert AnalyticFieldHistory.constant(-0.5).range_bound() == (-0.5, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(4, 12), st.booleans(), st.data())
+def test_lattice_history_values_stay_in_the_range_bound(levels, nx,
+                                                        plateau, data):
+    grid = build_phase_grid(-1.0, 1.0, 0.0, 1.0, nx, 4)
+    if plateau:
+        # 0, 1, 1, 0, ...: the cubic reaches 1.125 between the two ones
+        row = np.resize([0.0, 1.0, 1.0, 0.0], nx)
+        values = data.draw(st.sampled_from([1.0, -1.0])) * np.tile(
+            row, (levels, 1))
+    else:
+        values = data.draw(arrays(np.float64, (levels, nx),
+                                  elements=st.floats(-3.0, 3.0)))
+    hist = LatticeFieldHistory(grid, values, 0.5)
+    lo, hi = hist.range_bound()
+    times = [0.5 * k for k in range(levels)]              # on a level
+    times += [0.5 * k + 0.25 for k in range(levels - 1)]  # halfway
+    times += data.draw(st.lists(st.floats(0.0, hist.t_max), max_size=3))
+    xq = np.concatenate([np.linspace(-1.0, 1.0, 257),
+                         data.draw(arrays(np.float64, 16,
+                                          elements=st.floats(-1.0, 1.0)))])
+    # rounding of Horner's rule and of a blend's table, which the support
+    # mask's relative slack covers
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    for s in times:
+        got = hist.eval(s, xq)
+        assert np.all(got >= lo - tol) and np.all(got <= hi + tol)
+    assert lo <= np.min(values) and hi >= np.max(values)
+    if plateau:
+        assert max(-lo, hi) > hist.sup_bound()
+
+
 def test_lattice_history_reads_the_last_level_table():
     # The last level sits at theta = 1 of the last interval and reads that
     # level's table.  The blend 0 * lower + upper turns upper's -0.0 into

@@ -70,6 +70,7 @@ def test_parse_overrides_and_aliases():
     ("just some words", "line 1: expected key = value"),
     ("interp_monotone = yes", "bad value for 'interp_monotone'"),
     ("x_min = 2\nx_max = -2", "strictly increasing"),
+    ("x_min = -1e308\nx_max = 1e308", "grid spacing must be finite"),
     ("nx = 3", "at least 4"),
     ("dt = 0.3", "does not divide"),
     ("T = -1\ndt = -0.5", "must be positive"),
@@ -334,10 +335,11 @@ def test_main_run_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("engine", ["direct", "picard"])
 def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
                                                    engine):
-    # a uniform push of 2 drives the fast bump off a short x-axis
+    # a uniform pull of 2 turns the fast bump back beyond x = 1.2, so the
+    # trajectories that carry its mass back leave the short x-axis
     cfg = tmp_path / "exit.cfg"
     cfg.write_text("x_min = -1.2\nx_max = 1.2\nb0_family = uniform\n"
-                   "b0_amplitude = 2\nf0_center_v = 1.5\nT = 2\n"
+                   "b0_amplitude = -2\nf0_center_v = 1.8\nT = 2\n"
                    f"engine = {engine}\nout_dir = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
@@ -347,6 +349,28 @@ def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
     assert summary["ok"] is False
     assert summary["aborted"] == err.strip()[len("error: "):]
     assert " at t = " in summary["aborted"]
+
+
+def test_main_run_outflow_through_an_x_edge(tmp_path, capsys):
+    # a uniform push of 2 drives the fast bump out through x = 1.2 for
+    # good.  No trajectory that can carry mass leaves the axis, so Picard
+    # runs to the end and the mass-drift check reports the lost mass.
+    text = ("x_min = -1.2\nx_max = 1.2\nb0_family = uniform\n"
+            "b0_amplitude = 2\nf0_center_v = 1.5\nT = 2\n")
+    picard = tmp_path / "picard.cfg"
+    picard.write_text(text + f"engine = picard\nout_dir = {tmp_path / 'p'}\n")
+    assert main(["run", str(picard)]) == 1
+    assert "picard_mass_drift: FAIL" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+    assert summary["ok"] is False
+    assert "aborted" not in summary
+    # Direct traces every node whose stencil can read mass; one on the
+    # edge x = 1.2 steps off it
+    direct = tmp_path / "direct.cfg"
+    direct.write_text(text + f"engine = direct\nout_dir = {tmp_path / 'd'}\n")
+    assert main(["run", str(direct)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: direct engine: profile query outside")
 
 
 def test_main_majorant_json(capsys):
@@ -370,6 +394,9 @@ def test_main_majorant_json(capsys):
      "majorant arguments must be finite"),
     (["transform", "--u", "1", "--x-max", "inf", "{src}", "{out}"],
      "grid bounds must be finite"),
+    # finite bounds whose span overflows
+    (["transform", "--u", "0.5", "--x-min=-1e308", "--x-max=1e308", "{src}",
+      "{out}"], "grid spacing must be finite"),
 ])
 def test_main_rejects_non_finite_flags(tmp_path, capsys, argv, fragment):
     src = tmp_path / "b.snap"

@@ -37,6 +37,10 @@ def test_grid_validation():
                    (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 0.0, math.nan)]:
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             PhaseGrid(*bounds, 8, 8)
+    # finite bounds whose span overflows to an infinite spacing
+    for bounds in [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308)]:
+        with pytest.raises(ValueError, match="grid spacing must be finite"):
+            PhaseGrid(*bounds, 65, 65)
 
 
 def test_grid_nodes_are_read_only():

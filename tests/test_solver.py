@@ -297,16 +297,20 @@ def test_field_history_roundtrip_is_bitwise():
         assert np.array_equal(got, b.values)
 
 
-def _support_mask_full_grid(grid, box, t, b_max, pad_cells=2.0):
-    # the x-window worked out on every node, then cut to the v-band
+def _support_mask_full_grid(grid, box, t, lo, hi):
+    # the signed window worked out on every node, then cut to the v-band
     (x_lo, x_hi), (v_lo, v_hi) = box
-    grow = t * b_max * (1.0 + 1e-9) + 1e-12
-    pad_v = pad_cells * grid.dv
-    v_ok = ((grid.v_nodes >= v_lo - grow - pad_v)
-            & (grid.v_nodes <= v_hi + grow + pad_v))
-    wiggle = t * t * b_max * (1.0 + 1e-9) + pad_cells * grid.dx + 1e-12
+    size = max(abs(lo), abs(hi))
+    slack_v = t * size * 1e-9 + 1e-12
+    pad_v = solver._ROUNDING_SLACK * grid.dv
+    v_ok = ((grid.v_nodes >= v_lo + (t * lo - slack_v) - pad_v)
+            & (grid.v_nodes <= v_hi + (t * hi + slack_v) + pad_v))
+    q = 0.5 * t * t
+    slack_x = q * size * 1e-9 + 1e-12
+    pad_x = solver._ROUNDING_SLACK * grid.dx
     foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, :]
-    x_ok = (foot + wiggle >= x_lo) & (foot - wiggle <= x_hi)
+    x_ok = ((foot + (q * hi + slack_x) + pad_x >= x_lo)
+            & (foot + (q * lo - slack_x) - pad_x <= x_hi))
     return x_ok & v_ok[None, :]
 
 
@@ -314,13 +318,78 @@ def _support_mask_full_grid(grid, box, t, b_max, pad_cells=2.0):
 @given(st.integers(4, 40), st.integers(4, 40),
        st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
        st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
-       st.floats(0.0, 2.0), st.floats(0.0, 3.0))
-def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, b_max):
+       st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))
+def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, lo,
+                                                    span):
     grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, nx, nv)
     box = ((bx[0], bx[0] + bx[1]), (bv[0], bv[0] + bv[1]))
-    got = _support_mask(grid, box, t, b_max)
+    hi = lo + span
+    got = _support_mask(grid, box, t, lo, hi)
     assert got.shape == (nx, nv)
-    assert np.array_equal(got, _support_mask_full_grid(grid, box, t, b_max))
+    assert np.array_equal(got, _support_mask_full_grid(grid, box, t, lo, hi))
+
+
+# Node values of a field level: rough plateaus such as 0, 1, 1, 0, whose
+# cubic overshoots the nodes (to 1.125 between the two ones), and noise.
+_field_node = st.one_of(st.sampled_from([0.0, 1.0, 1.0, -1.0]),
+                        st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _field_histories(draw):
+    """A field history with |B| <= 2 * 1.64, and a time in its range.
+
+    Every axis is wide enough that no trajectory from the phase grid of
+    the test below leaves it: |X - x| <= t |v| + t^2 |B| / 2 < 12.
+    """
+    t = draw(st.floats(0.05, 2.0))
+    kind = draw(st.sampled_from(["analytic", "plateau", "lattice"]))
+    if kind == "analytic":
+        amp = draw(st.floats(-2.0, 2.0))
+        w = draw(st.floats(0.0, 3.0))
+        c = draw(st.floats(-1.0, 1.0))
+        return AnalyticFieldHistory(
+            lambda s, x: amp * np.sin(w * x + c * s), sup_bound=abs(amp)), t
+    levels = draw(st.integers(2, 5))
+    if kind == "plateau":
+        # 0, 1, 1, 0 on [-60, 60]: the middle cell holds every trajectory,
+        # and the field there is about 1.12 while its nodes are 1
+        n = 4
+        axis = build_phase_grid(-60.0, 60.0, 0.0, 1.0, n, 4)
+        stack = np.tile([0.0, 1.0, 1.0, 0.0], levels)
+    else:
+        n = draw(st.integers(4, 12))
+        axis = build_phase_grid(-20.0, 20.0, 0.0, 1.0, n, 4)
+        stack = np.array(draw(st.lists(_field_node, min_size=levels * n,
+                                       max_size=levels * n)))
+        if draw(st.booleans()):
+            stack = np.abs(stack)
+    if draw(st.booleans()):
+        stack = -stack
+    return LatticeFieldHistory(axis, stack.reshape(levels, n),
+                               t / (levels - 1)), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_histories(), st.integers(1, 6), st.integers(4, 30), st.data())
+def test_support_mask_keeps_every_node_whose_foot_lands_in_the_box(
+        history, substeps, n, data):
+    field, t = history
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, n, n)
+    xg = np.broadcast_to(grid.x_nodes[:, None], (n, n))
+    vg = np.broadcast_to(grid.v_nodes[None, :], (n, n))
+    x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
+    # a box round one node's foot, from a sliver to most of the grid, so
+    # that a window a little too tight loses that node
+    i = data.draw(st.integers(0, n * n - 1))
+    radius = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-6, 3.0))
+    r = data.draw(st.lists(radius, min_size=4, max_size=4))
+    box = ((x0.flat[i] - r[0], x0.flat[i] + r[1]),
+           (v0.flat[i] - r[2], v0.flat[i] + r[3]))
+    mask = _support_mask(grid, box, t, *field.range_bound())
+    inside = ((x0 > box[0][0]) & (x0 < box[0][1])
+              & (v0 > box[1][0]) & (v0 < box[1][1]))
+    assert not np.any(inside & ~mask)
 
 
 def _whole_box_step(f, box, step_hist, dt, monotone):
