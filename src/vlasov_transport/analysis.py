@@ -39,6 +39,7 @@ __all__ = [
     "transform_field_level",
     "scaling_transform",
     "pde_residual",
+    "scenario_hypothesis_check",
     "scenario_monotone_check",
     "continuation_indicator",
     "holder_quotient",
@@ -61,9 +62,14 @@ def _threshold_for(f: DensityField, threshold: float | None) -> float:
 
 
 def _occupied_velocities(f: DensityField, threshold: float | None):
-    """Velocity nodes of the columns where |f| exceeds the threshold."""
+    """Velocity nodes of the columns where |f| exceeds the threshold.
+
+    Off the block f is +0.0, which exceeds no threshold, so only the
+    block's columns are read.
+    """
     threshold = _threshold_for(f, threshold)
-    return f.grid.v_nodes[np.any(np.abs(f.values) > threshold, axis=0)]
+    return f.grid.v_nodes[f.slices[1]][
+        np.any(np.abs(f.block) > threshold, axis=0)]
 
 
 def velocity_support(f: DensityField, threshold: float | None = None) -> float:
@@ -118,19 +124,20 @@ def compute_diagnostics(solution: SolutionHistory) -> DiagnosticsTrace:
     for k in range(n):
         f = solution.f_levels[k]
         b = solution.b_levels[k]
+        values = f.values
         out["density_sup"][k] = f.sup_norm()
         out["field_sup"][k] = b.sup_norm()
         out["field_min"][k] = float(b.values.min())
         out["field_max"][k] = float(b.values.max())
         out["mass"][k] = float(trapezoid_uniform(
-            trapezoid_uniform(f.values, grid.dv, axis=1), grid.dx, axis=0))
+            trapezoid_uniform(values, grid.dv, axis=1), grid.dx, axis=0))
         running = max(running, velocity_support(f, thr))
         out["support_radius"][k] = running
         out["support_inf"][k] = support_infimum(f, thr)
         out["dxf_sup"][k] = float(np.max(np.abs(
-            np.gradient(f.values, grid.dx, axis=0, edge_order=2))))
+            np.gradient(values, grid.dx, axis=0, edge_order=2))))
         out["dvf_sup"][k] = float(np.max(np.abs(
-            np.gradient(f.values, grid.dv, axis=1, edge_order=2))))
+            np.gradient(values, grid.dv, axis=1, edge_order=2))))
         out["dxb_sup"][k] = float(np.max(np.abs(
             np.gradient(b.values, grid.dx, edge_order=2))))
     return DiagnosticsTrace(times=solution.times, **out)
@@ -179,9 +186,9 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     gx = np.empty((m + 1, xg.size))
     gv = np.empty((m + 1, xg.size))
     for k in range(m + 1):
-        f_k = solution.f_levels[k]
-        dxf_k = np.gradient(f_k.values, grid.dx, axis=0, edge_order=2)
-        dvf_k = np.gradient(f_k.values, grid.dv, axis=1, edge_order=2)
+        f_k = solution.f_levels[k].values
+        dxf_k = np.gradient(f_k, grid.dx, axis=0, edge_order=2)
+        dvf_k = np.gradient(f_k, grid.dv, axis=1, edge_order=2)
         dxb_k = np.gradient(solution.b_levels[k].values, grid.dx,
                             edge_order=2)
         gx[k] = interp_lattice(grid, dxf_k, xs[k], vs[k])
@@ -191,9 +198,9 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     rep_dv = f0.dv(xs[0], vs[0]) - trapezoid_uniform(gx, dt, axis=0)
     rep_dx = f0.dx(xs[0], vs[0]) - trapezoid_uniform(gv, dt, axis=0)
 
-    f_t = solution.f_levels[m]
-    fd_dv = np.gradient(f_t.values, grid.dv, axis=1, edge_order=2)[mask]
-    fd_dx = np.gradient(f_t.values, grid.dx, axis=0, edge_order=2)[mask]
+    f_t = solution.f_levels[m].values
+    fd_dv = np.gradient(f_t, grid.dv, axis=1, edge_order=2)[mask]
+    fd_dx = np.gradient(f_t, grid.dx, axis=0, edge_order=2)[mask]
     return (float(np.max(np.abs(fd_dv - rep_dv))),
             float(np.max(np.abs(fd_dx - rep_dx))))
 
@@ -298,22 +305,25 @@ def pde_residual(solution: SolutionHistory):
         raise ValueError("residuals need at least three time levels")
     grid = solution.grid
     dt = solution.dt
-    f = [lv.values for lv in solution.f_levels]
     b = np.stack([lv.values for lv in solution.b_levels])
     rho = np.stack([density_moment(lv).values for lv in solution.f_levels])
 
-    # Level by level, so no temporary spans all levels of the lattice.
+    # Level by level, with a window of three full lattices, so no
+    # temporary spans all levels of the lattice.
     v_inner = grid.v_nodes[None, 1:-1]
     level_res = []
-    for k in range(1, len(f) - 1):
-        interior = f[k][1:-1, 1:-1]
-        dtf = (f[k + 1][1:-1, 1:-1] - f[k - 1][1:-1, 1:-1]) / (2.0 * dt)
-        dxf = (f[k][2:, 1:-1] - f[k][:-2, 1:-1]) / (2.0 * grid.dx)
-        dvf = (f[k][1:-1, 2:] - f[k][1:-1, :-2]) / (2.0 * grid.dv)
+    before, here = (lv.values for lv in solution.f_levels[:2])
+    for k in range(1, solution.n_levels - 1):
+        after = solution.f_levels[k + 1].values
+        interior = here[1:-1, 1:-1]
+        dtf = (after[1:-1, 1:-1] - before[1:-1, 1:-1]) / (2.0 * dt)
+        dxf = (here[2:, 1:-1] - here[:-2, 1:-1]) / (2.0 * grid.dx)
+        dvf = (here[1:-1, 2:] - here[1:-1, :-2]) / (2.0 * grid.dv)
         res_f = dtf + v_inner * dxf + b[k, 1:-1, None] * dvf
         carrying = np.abs(interior) > _DENSITY_FLOOR
         if carrying.any():
             level_res.append(np.max(np.abs(res_f[carrying])))
+        before, here = here, after
     density_res = float(np.max(level_res)) if level_res else 0.0
 
     dtb = (b[2:, 1:-1] - b[:-2, 1:-1]) / (2.0 * dt)
@@ -339,27 +349,35 @@ class ScenarioReport:
 _FIELD_MIN_TOL = 1e-8
 
 
-def scenario_monotone_check(solution: SolutionHistory) -> ScenarioReport:
-    """Check the sign-definite scenario: B stays nonnegative and the lowest
-    occupied velocity never falls.
+def scenario_hypothesis_check(f0: DensityField, b0: TransportField) -> None:
+    """Raise ScenarioHypothesisError unless the level-0 data meet the
+    sign-definite scenario's hypotheses: f(0) >= 0 with velocity support
+    strictly above 1, and B(0) >= 0.
 
-    Hypotheses on the data (checked first, violations raise
-    ScenarioHypothesisError): f(0) >= 0 with velocity support strictly
-    above 1, and B(0) >= 0.  B may dip _FIELD_MIN_TOL below zero, and the
-    lowest occupied velocity may fall by one velocity cell per level.
+    Off its block f(0) is +0.0, so the block's minimum decides the sign
+    (a NaN minimum passes, as it does over the full lattice).
     """
-    f0 = solution.f_levels[0]
-    b0 = solution.b_levels[0]
-    thr = _threshold_for(f0, None)
-    if float(f0.values.min()) < 0.0:
+    if f0.block.size and float(f0.block.min()) < 0.0:
         raise ScenarioHypothesisError("initial density must be nonnegative")
-    inf0 = support_infimum(f0, thr)
+    inf0 = support_infimum(f0)
     if not inf0 > 1.0:
         raise ScenarioHypothesisError(
             f"initial velocity support must sit above 1 (found {inf0})")
     if float(b0.values.min()) < 0.0:
         raise ScenarioHypothesisError("initial field must be nonnegative")
 
+
+def scenario_monotone_check(solution: SolutionHistory) -> ScenarioReport:
+    """Check the sign-definite scenario: B stays nonnegative and the lowest
+    occupied velocity never falls.
+
+    The hypotheses on the data are checked first
+    (scenario_hypothesis_check).  B may dip _FIELD_MIN_TOL below zero, and
+    the lowest occupied velocity may fall by one velocity cell per level.
+    """
+    f0 = solution.f_levels[0]
+    scenario_hypothesis_check(f0, solution.b_levels[0])
+    thr = _threshold_for(f0, None)
     support_drop_tol = solution.grid.dv * (1.0 + 1e-9)
     field_min = min(float(b.values.min()) for b in solution.b_levels)
     infima = tuple(support_infimum(f, thr) for f in solution.f_levels)

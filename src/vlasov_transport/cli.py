@@ -36,12 +36,14 @@ import numpy as np
 
 from .analysis import (DiagnosticsTrace, compute_diagnostics,
                        holder_quotient, pde_residual,
-                       scenario_monotone_check, transform_density_level,
-                       transform_field_level, transform_rectangle)
+                       scenario_hypothesis_check, scenario_monotone_check,
+                       transform_density_level, transform_field_level,
+                       transform_rectangle)
 from .field_solve import (conservative_data_constant, cumtrapz_uniform,
                           field_derivative_bound_check, field_sup_bound_check)
 from .phase_space import (DensityField, DomainExitError, InitialDataSpec,
-                          TransportField, build_phase_grid)
+                          TransportField, build_phase_grid,
+                          sample_initial_data)
 from .snapshot import read_snapshot, write_snapshot
 from .solver import (_levels_for, majorant_existence_time, solve_direct,
                      solve_picard)
@@ -347,9 +349,14 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
 
     out_dir overrides config.out_dir when given.  Returns the artifact
     listing with the outcome of every enabled check; raises on config,
-    hypothesis, or domain errors.  A domain error first leaves a
-    summary.json with "ok": false and its message under "aborted".
+    hypothesis, or domain errors.  With diag_scenario set, the scenario's
+    hypotheses are checked on the sampled level 0 before any engine runs
+    or any file is written.  A domain error first leaves a summary.json
+    with "ok": false and its message under "aborted".
     """
+    if config.diag_scenario:
+        scenario_hypothesis_check(
+            *sample_initial_data(config.initial_data(), config.grid()))
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _padding_advisory(config)

@@ -86,9 +86,20 @@ class MomentProfile:
 
 
 def density_moment(f: DensityField) -> MomentProfile:
-    """Zeroth velocity moment rho(x) = int f(x, v) dv (trapezoid in v)."""
-    values = trapezoid_uniform(f.values, f.grid.dv, axis=1)
-    return MomentProfile(f.grid, values, f.time)
+    """Zeroth velocity moment rho(x) = int f(x, v) dv (trapezoid in v).
+
+    Rows off the block are +0.0, and so is their trapezoid.  The block's
+    rows are widened to the whole v axis first, so that numpy's pairwise
+    sum groups the terms of each row as it does over the full lattice.
+    """
+    grid = f.grid
+    values = np.zeros(grid.nx)
+    if f.block.size:
+        rows, cols = f.slices
+        full_rows = np.zeros((f.block.shape[0], grid.nv))
+        full_rows[:, cols] = f.block
+        values[rows] = trapezoid_uniform(full_rows, grid.dv, axis=1)
+    return MomentProfile(grid, values, f.time)
 
 
 def _eval_initial_field(b0: Callable, x):

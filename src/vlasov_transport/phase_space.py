@@ -26,10 +26,11 @@ result to the range of the enclosing cell's corner values, which
 preserves sign and sup bounds at the cost of formal order.
 
 Memory: a density is compactly supported, so a level is mostly exact
-zeros.  The engines build each level on _zero_lattice and write only its
-support, so a level is resident only on the rows its support touches;
-the rest reads as zero without occupying memory, and a dropped level
-hands its pages back to the system.
+zeros.  A DensityField stores only the bounding block of its nonzero
+bits and its origin; every entry outside the block is +0.0.  Its full
+lattice is built on each access, on _zero_lattice, where only the rows
+written occupy memory, so a full view is resident only on the block's
+rows and hands its pages back to the system once dropped.
 """
 
 from __future__ import annotations
@@ -140,21 +141,83 @@ def _zero_lattice(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
 
 
-@dataclass(frozen=True)
+def _bounding_slices(mask: np.ndarray):
+    """Row and column slices of the bounding box of mask's True entries,
+    or None if it has none."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DensityField:
-    """Density lattice of shape (nx, nv) at a fixed time."""
+    """Density lattice of shape (nx, nv) at a fixed time, stored as its
+    nonzero block.
+
+    block is the bounding box of the entries whose bits are nonzero, so
+    -0.0 and NaN sit inside it and every entry outside it is +0.0; origin
+    is the lattice index of its first entry.  A level with no nonzero bits
+    stores an empty block.  DensityField(grid, values, time) crops a full
+    lattice.  values builds a full lattice on every access (see there).
+    """
 
     grid: PhaseGrid
-    values: np.ndarray
     time: float
+    block: np.ndarray
+    origin: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.shape != (self.grid.nx, self.grid.nv):
+    def __init__(self, grid: PhaseGrid, values, time: float):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.nx, grid.nv):
             raise ValueError("density lattice shape does not match grid")
+        self._crop(grid, values, (0, 0), time)
+
+    @classmethod
+    def _from_block(cls, grid: PhaseGrid, block: np.ndarray, origin,
+                    time: float) -> "DensityField":
+        """The level that is block at origin and +0.0 everywhere else."""
+        level = object.__new__(cls)
+        level._crop(grid, block, origin, time)
+        return level
+
+    def _crop(self, grid, block, origin, time) -> None:
+        slices = _bounding_slices(block.view(np.int64) != 0)
+        if slices is not None:
+            rs, cs = slices
+            block = block[rs, cs].copy()
+            origin = (int(origin[0] + rs.start), int(origin[1] + cs.start))
+        else:
+            block, origin = np.zeros((0, 0)), (0, 0)
+        block.setflags(write=False)
+        for name, value in (("grid", grid), ("time", time), ("block", block),
+                            ("origin", origin)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def slices(self) -> tuple:
+        """Row and column slices of the block in the lattice."""
+        (i, j), (m, n) = self.origin, self.block.shape
+        return slice(i, i + m), slice(j, j + n)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full lattice, read-only and built anew on each access.
+
+        Every access maps and fills a new lattice; nothing is cached.  It
+        is built on _zero_lattice, so only the block's rows become
+        resident, but each one held adds those rows to the block: a
+        caller that keeps the values of many levels holds more than the
+        levels themselves.  Read the block where a reduction allows it.
+        """
+        out = _zero_lattice((self.grid.nx, self.grid.nv))
+        out[self.slices] = self.block
+        out.setflags(write=False)
+        return out
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.max(np.abs(self.block))) if self.block.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,15 @@ that every value of the interpolated field history lies in
 provably misses the support.  Direct grows its support box by the field's
 largest node value per step.
 
-The same bound keeps memory in step with the support.  Each engine builds
-a density level on a zero lattice that is resident only where written
-(phase_space._zero_lattice) and writes only the nodes it traces, so a
-level is resident only on the rows its support touches.  Picard compares
-each new level with the previous iterate's as soon as it is built and
-drops the old one, so one iterate and one level are alive at a time.
+The same bound keeps memory in step with the support.  Each engine
+writes only the nodes it traces, into a block round them, and stores a
+level as the bounding block of its nonzero entries (DensityField), so a
+level holds only that block.  Neither engine builds a full lattice of a
+stored level: Direct keeps the previous level in one scratch lattice
+that each step rewrites block by block, and Picard compares each new
+level with the previous iterate's over the union of their blocks as
+soon as it is built and drops the old one, so one iterate and one level
+are alive at a time.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -56,10 +59,9 @@ import numpy as np
 
 from .characteristics import LatticeFieldHistory, trace_states
 from .field_solve import (MomentProfile, _field_shift, _finish_field,
-                          density_moment, field_from_history,
-                          trapezoid_uniform)
+                          density_moment, field_from_history)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
-                          TransportField, _zero_lattice, interp_lattice,
+                          TransportField, _bounding_slices, interp_lattice,
                           sample_initial_data)
 
 __all__ = [
@@ -200,21 +202,50 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
     of the output never exceeds the sup norm of f0.  Only nodes whose foot
     can land in f0's support box are traced (_support_mask, on the
     field's range_bound); every other node, whose foot provably misses
-    the box, and every node of a family without a box, is +0.0.
+    the box, and every node of a family without a box, is +0.0.  The
+    level is built from the bounding block of the traced nodes.
     """
     if t == 0.0:
         values = f0.value(grid.x_nodes[:, None], grid.v_nodes[None, :])
         return DensityField(grid, values, 0.0)
-    values = _zero_lattice((grid.nx, grid.nv))
-    if f0.support is None:
-        return DensityField(grid, values, t)
-    mask = _support_mask(grid, f0.support, t, *field.range_bound())
-    if mask.any():
-        xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
-        vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
-        x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
-        values[mask] = f0.value(x0, v0)
-    return DensityField(grid, values, t)
+    block, origin = np.zeros((0, 0)), (0, 0)
+    if f0.support is not None:
+        mask = _support_mask(grid, f0.support, t, *field.range_bound())
+        slices = _bounding_slices(mask)
+        if slices is not None:
+            rs, cs = slices
+            mask = mask[rs, cs]
+            xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
+            vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
+            x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
+            block = np.zeros(mask.shape)
+            block[mask] = f0.value(x0, v0)
+            origin = (rs.start, cs.start)
+    return DensityField._from_block(grid, block, origin, t)
+
+
+def _sup_distance(a: DensityField, b: DensityField) -> float:
+    """max |a.values - b.values|, taken over the union of the two blocks.
+
+    Both levels are +0.0 off it, so the number is the same, NaN included.
+    """
+    spans = [f.slices for f in (a, b) if f.block.size]
+    if not spans:
+        return 0.0
+    r0 = min(rs.start for rs, _ in spans)
+    c0 = min(cs.start for _, cs in spans)
+    diff = np.zeros((max(rs.stop for rs, _ in spans) - r0,
+                     max(cs.stop for _, cs in spans) - c0))
+
+    def part(f):
+        rs, cs = f.slices
+        return diff[rs.start - r0:rs.stop - r0, cs.start - c0:cs.stop - c0]
+
+    if a.block.size:
+        part(a)[...] = a.block
+    if b.block.size:
+        part(b)[...] -= b.block
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
@@ -233,16 +264,12 @@ def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
     b_levels = []
     moments: list[MomentProfile] = []
     # Per-level maxima, reduced once at the end: the same number as the
-    # sup over the stacked difference, NaN included.  The differences go
-    # through one buffer: a fresh lattice-sized temporary per level makes
-    # malloc return and refault its pages every level.
+    # sup over the stacked difference, NaN included.
     diffs = []
-    diff = np.empty((grid.nx, grid.nv))
     for k in range(n_levels):
         t_k = k * dt
         f_k = advect_density(f0, grid, prev_history, t_k, max(1, k))
-        np.subtract(f_k.values, prev_f[k].values, out=diff)
-        diffs.append(np.max(np.abs(diff, out=diff)))
+        diffs.append(_sup_distance(f_k, prev_f[k]))
         prev_f[k] = None
         f_levels.append(f_k)
         moments.append(density_moment(f_k))
@@ -324,9 +351,7 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     traced only if its foot can read a nonzero value of the previous
     level; every other node is exactly +0.0 (see _advect_lattice_step).
     Such a node is not traced, so it cannot abort a run: a domain exit
-    comes only from a node that can carry mass.  A new level is +0.0 off
-    the box rows, and a zero row's trapezoid is +0.0, so its moment is
-    taken over the box rows alone.
+    comes only from a node that can carry mass.
     """
     n_levels = _levels_for(t_final, dt)
     b0 = spec.field()
@@ -335,6 +360,9 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     b_levels = [b_k]
     rho_k = density_moment(f_k)
     box = spec.density().support
+    # f_k as a full lattice, for the step to read: one scratch lattice,
+    # which each step rewrites to hold the next level.
+    lattice = np.array(f_k.values)
     for k in range(n_levels - 1):
         t = k * dt
 
@@ -345,8 +373,9 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
         b_pred = _finish_field(b_k, shift, rho_k, dt)
         step_hist = LatticeFieldHistory(
             grid, np.stack([b_k.values, b_pred.values]), dt, t0=t)
-        f_next, box = _advect_lattice_step(f_k, box, step_hist, dt, monotone)
-        rho_next = _box_moment(f_next, box)
+        f_next, box = _advect_lattice_step(f_k, lattice, box, step_hist, dt,
+                                           monotone)
+        rho_next = density_moment(f_next)
         b_next = _finish_field(b_k, shift, rho_next, dt)
         f_levels.append(f_next)
         b_levels.append(b_next)
@@ -384,16 +413,6 @@ def _box_slices(grid: PhaseGrid, box):
     if not (rows.size and cols.size):
         return None
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-
-
-def _box_moment(f: DensityField, box) -> MomentProfile:
-    """density_moment of a level that is +0.0 off the rows of box."""
-    values = np.zeros(f.grid.nx)
-    block = _box_slices(f.grid, box)
-    if block is not None:
-        rs = block[0]
-        values[rs] = trapezoid_uniform(f.values[rs], f.grid.dv, axis=1)
-    return MomentProfile(f.grid, values, f.time)
 
 
 # The 4-point Lagrange weights' absolute values sum to at most 1.6312 (in
@@ -470,38 +489,42 @@ def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
     return live
 
 
-def _advect_lattice_step(f_k: DensityField, box,
+def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
                          step_hist: LatticeFieldHistory, dt: float,
                          monotone: bool):
     """One backward semi-Lagrangian step of the density lattice.
 
-    box certifies the support of f_k; returns (next level, grown box).
-    Nodes outside the grown box are exactly zero by the reachability
-    bound.  Inside it, only the nodes whose foot can read a nonzero value
-    of f_k are traced (_live_nodes).  Every other node reads only zeros:
-    interp_lattice sums its stencil from +0.0, so the sum stays +0.0, and
-    a monotone clip to +0.0 corners returns +0.0.  Such a node is left an
-    untouched page of the zero lattice, which reads +0.0 as well, so the
-    level is bitwise the one a trace of the whole box gives.
+    lattice holds f_k.values on entry; the step rewrites f_k's block and
+    the next level's in it, so it holds the next level's values on
+    return.  box certifies the support of f_k.  Returns (next level,
+    grown box).  Nodes outside the grown box are exactly zero by the
+    reachability bound.  Inside it, only the nodes whose foot can read a
+    nonzero value of f_k are traced (_live_nodes).  Every other
+    node reads only zeros: interp_lattice sums its stencil from +0.0, so
+    the sum stays +0.0, and a monotone clip to +0.0 corners returns +0.0.
+    Such a node is left +0.0 in the box's block, so the level is bitwise
+    the one a trace of the whole box gives.
     """
     grid = f_k.grid
     t_next = f_k.time + dt
-    values = _zero_lattice(f_k.values.shape)
-    if box is None:
-        return DensityField(grid, values, t_next), None
     b_max = step_hist.sup_bound()
-    new_box = _grow_box(box, dt, b_max)
-    block = _box_slices(grid, new_box)
-    if block is not None:
-        rs, cs = block
-        live = _live_nodes(f_k.values, grid, rs, cs, dt, b_max, monotone)
+    new_box = None if box is None else _grow_box(box, dt, b_max)
+    slices = _box_slices(grid, new_box)
+    block, origin = np.zeros((0, 0)), (0, 0)
+    if slices is not None:
+        rs, cs = slices
+        live = _live_nodes(lattice, grid, rs, cs, dt, b_max, monotone)
+        block, origin = np.zeros(live.shape), (rs.start, cs.start)
         if live.any():
             xg = np.broadcast_to(grid.x_nodes[rs, None], live.shape)[live]
             vg = np.broadcast_to(grid.v_nodes[None, cs], live.shape)[live]
             xf, vf = trace_states(xg, vg, t_next, f_k.time, step_hist, 1)
-            values[rs, cs][live] = interp_lattice(grid, f_k.values, xf, vf,
-                                                  monotone=monotone)
-    return DensityField(grid, values, t_next), new_box
+            block[live] = interp_lattice(grid, lattice, xf, vf,
+                                         monotone=monotone)
+    f_next = DensityField._from_block(grid, block, origin, t_next)
+    lattice[f_k.slices] = 0.0
+    lattice[f_next.slices] = f_next.block
+    return f_next, new_box
 
 
 def majorant_existence_time(c: float, cap: float, ds: float = 1e-3,

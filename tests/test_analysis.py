@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlasov_transport.analysis import (ContinuationReport, DiagnosticsTrace,
                                        HolderReport, ScenarioHypothesisError,
@@ -19,6 +20,8 @@ from vlasov_transport.phase_space import (DensityField, InitialDataSpec,
                                           build_phase_grid)
 from vlasov_transport.solver import (SolutionHistory, majorant_existence_time,
                                      solve_direct, solve_picard)
+
+from lattices import grids, lattices, same_bits
 
 
 def _grid(nx=33, nv=33):
@@ -51,6 +54,27 @@ def test_velocity_support_conventions():
     f2 = DensityField(grid, values2, 0.0)
     assert velocity_support(f2) == 2.0
     assert support_infimum(f2) == -2.0
+
+
+def _occupied(values, grid, threshold):
+    # the full-lattice formula
+    return grid.v_nodes[np.any(np.abs(values) > threshold, axis=0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_block_readers_equal_the_full_lattice_formulas(grid, data):
+    values = data.draw(lattices(grid))
+    f = DensityField(grid, values, 0.0)
+    sup = np.max(np.abs(values))
+    assert same_bits(f.sup_norm(), sup)
+    for threshold in (None, 0.0, data.draw(st.floats(0.0, 2.0))):
+        occupied = _occupied(values, grid, 1e-12 * sup if threshold is None
+                             else threshold)
+        assert same_bits(velocity_support(f, threshold),
+                         np.max(np.abs(occupied)) if occupied.size else 0.0)
+        assert same_bits(support_infimum(f, threshold),
+                         np.min(occupied) if occupied.size else math.inf)
 
 
 def test_velocity_support_empty_lattice():

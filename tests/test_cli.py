@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vlasov_transport import cli
 from vlasov_transport.cli import (_KEYS, ConfigError, RunConfig, load_config,
                                   main, parse_config, run_scenario)
 from vlasov_transport.snapshot import read_snapshot, write_snapshot
@@ -330,6 +331,32 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert err.startswith("error:")
 
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("engine", ["picard", "direct", "both"])
+def test_main_run_refuses_scenario_data_before_any_engine_runs(
+        tmp_path, capsys, monkeypatch, engine):
+    # the default data sit at v = 0, below the scenario's v > 1
+    called = []
+
+    def spy(name):
+        def engine_ran(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} ran on data the scenario refuses")
+        return engine_ran
+
+    monkeypatch.setattr(cli, "solve_picard", spy("solve_picard"))
+    monkeypatch.setattr(cli, "solve_direct", spy("solve_direct"))
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"engine = {engine}\nnx = 129\nnv = 129\n"
+                   "dt = 0.0078125\nT = 1\ndiag_scenario = true\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: initial velocity support must sit above 1 (found ")
+    assert called == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("engine", ["direct", "picard"])

@@ -17,6 +17,8 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           build_phase_grid, interp_profile,
                                           sample_initial_data)
 
+from lattices import grids, lattices, same_bits
+
 # B^1 for a free-streamed default bump (B0 = 0), from an independent dense
 # double quadrature of the line-integral representation.  Quadrature error
 # of the oracle itself is below 2e-9.
@@ -57,6 +59,16 @@ def test_density_moment_of_bump():
     assert grid.x_nodes[center] == 0.0
     assert rho.values[center] == pytest.approx(16.0 / 15.0 * 0.5, abs=5e-6)
     assert rho.time == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_density_moment_of_the_block_is_the_full_lattice_trapezoid(grid,
+                                                                   data):
+    values = data.draw(lattices(grid))
+    rho = density_moment(DensityField(grid, values, 0.25))
+    assert same_bits(rho.values, trapezoid_uniform(values, grid.dv, axis=1))
+    assert rho.time == 0.25
 
 
 def test_moment_profile_reads_zero_outside():

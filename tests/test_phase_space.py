@@ -18,6 +18,8 @@ from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
                                           _NODE_SNAP, _cubic_table, _frame,
                                           _stencil, _zero_lattice)
 
+from lattices import grids, lattices, same_bits
+
 
 def test_grid_spacing_and_nodes():
     grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, 65, 41)
@@ -76,6 +78,33 @@ def test_density_field_on_a_zero_lattice_is_read_only():
     with pytest.raises(ValueError):
         f.values[2, 3] = 1.0
     assert f.sup_norm() == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_density_field_stores_the_bounding_block_of_nonzero_bits(grid,
+                                                                 data):
+    values = data.draw(lattices(grid))
+    f = DensityField(grid, values, 0.5)
+    assert same_bits(f.values, values)
+    assert not f.values.flags.writeable
+    nonzero = values.view(np.int64) != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if rows.size:
+        window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        assert f.slices == window
+        assert same_bits(f.block, values[window])
+    else:
+        assert f.block.size == 0
+    assert same_bits(f.sup_norm(), np.max(np.abs(values)))
+    # a level built from any window that holds the block is the same level
+    i = data.draw(st.integers(0, rows[0] if rows.size else grid.nx - 1))
+    j = data.draw(st.integers(0, cols[0] if cols.size else grid.nv - 1))
+    block = values[i:, j:].copy()
+    g = DensityField._from_block(grid, block, (i, j), 0.5)
+    assert g.slices == f.slices and same_bits(g.block, f.block)
+    assert same_bits(g.values, values)
 
 
 def test_bump_density_values_and_support():

@@ -12,14 +12,16 @@ from vlasov_transport import solver
 from vlasov_transport.characteristics import (AnalyticFieldHistory,
                                               LatticeFieldHistory,
                                               trace_states)
-from vlasov_transport.phase_space import (DomainExitError, InitialDataSpec,
-                                          build_phase_grid, interp_lattice,
-                                          sample_initial_data)
+from vlasov_transport.phase_space import (DensityField, DomainExitError,
+                                          InitialDataSpec, build_phase_grid,
+                                          interp_lattice, sample_initial_data)
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
                                      advect_density, majorant_existence_time,
                                      solve_direct, solve_picard)
 from vlasov_transport.solver import (_advect_lattice_step, _grow_box,
-                                     _support_mask)
+                                     _sup_distance, _support_mask)
+
+from lattices import grids, lattices, same_bits
 
 # Cap-crossing times of F' = C (1 + t F)^2, F(0) = C at cap 1e6, from an
 # independent fixed-step integration at ds = 1e-5 (step-halving deltas
@@ -118,6 +120,15 @@ def test_picard_differences_contract():
         assert nxt < prev
 
 
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_level_sup_distance_is_the_full_lattice_sup(grid, data):
+    a = data.draw(lattices(grid))
+    b = data.draw(lattices(grid))
+    got = _sup_distance(DensityField(grid, a, 0.5), DensityField(grid, b, 0.5))
+    assert same_bits(got, np.max(np.abs(a - b)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_picard_density_diff_is_the_sup_over_levels(k):
     # the sweep compares level by level; the recorded number must be the
@@ -155,16 +166,49 @@ print((after - before) * unit / (history.n_levels * grid.nx * grid.nv * 8))
 """
 
 
-def test_direct_levels_are_resident_only_on_their_support():
+# The same at the scale of the direct_global benchmark, with the scenario
+# check that follows the solve there.
+DESK_MEMORY_PROBE = """
+import os
+pid = os.fork()
+if pid:
+    os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import resource, sys
+from vlasov_transport.analysis import scenario_monotone_check
+from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
+from vlasov_transport.solver import solve_direct
+spec = InitialDataSpec(f0_center_v=2.0, f0_width=0.5)
+grid = build_phase_grid(-2.5, 9.5, 0.25, 5.25, 257, 257)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+history = solve_direct(spec, grid, 2.0, 1.0 / 256.0, monotone=True)
+assert scenario_monotone_check(history).passed
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024   # ru_maxrss in B or KiB
+print((after - before) * unit / (history.n_levels * grid.nx * grid.nv * 8))
+"""
+
+
+def _rss_share(probe: str) -> float:
     pytest.importorskip("resource")
     package_root = os.path.dirname(os.path.dirname(vlasov_transport.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
+def test_direct_levels_are_resident_only_on_their_support():
     # dense levels read about 1.1 here; support-only levels about 0.35
-    assert float(done.stdout) < 0.6
+    assert _rss_share(MEMORY_PROBE) < 0.6
+
+
+def test_direct_levels_keep_only_their_nonzero_blocks_at_desk_scale():
+    # Full lattices resident on their support rows read about 0.25 here,
+    # nonzero blocks about 0.12; at 129 nodes the two are too close to
+    # tell apart.
+    assert _rss_share(DESK_MEMORY_PROBE) < 0.19
 
 
 def test_initial_iterate_choice_reaches_the_same_history():
@@ -427,6 +471,7 @@ def test_lattice_step_is_bitwise_a_trace_of_the_whole_box(
     b0 = spec.field()
     f, _ = sample_initial_data(spec, grid)
     box = spec.density().support
+    lattice = np.array(f.values)
     for k in range(steps):
         t = k * dt
         step_hist = LatticeFieldHistory(
@@ -436,9 +481,11 @@ def test_lattice_step_is_bitwise_a_trace_of_the_whole_box(
             want, want_box = _whole_box_step(f, box, step_hist, dt, monotone)
         except DomainExitError:
             return   # the box left the axis; a pruned step need not abort
-        f, box = _advect_lattice_step(f, box, step_hist, dt, monotone)
+        f, box = _advect_lattice_step(f, lattice, box, step_hist, dt,
+                                      monotone)
         assert box == want_box
         assert f.values.tobytes() == want.tobytes()
+        assert lattice.tobytes() == want.tobytes()
 
 
 def test_direct_step_traces_only_nodes_that_can_carry_mass(monkeypatch):
