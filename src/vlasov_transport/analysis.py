@@ -64,12 +64,21 @@ def _threshold_for(f: DensityField, threshold: float | None) -> float:
 def _occupied_velocities(f: DensityField, threshold: float | None):
     """Velocity nodes of the columns where |f| exceeds the threshold.
 
-    Off the block f is +0.0, which exceeds no threshold, so only the
-    block's columns are read.
+    Off its stored entries f is +0.0, which exceeds no threshold, so only
+    the stored entries are read.
     """
     threshold = _threshold_for(f, threshold)
-    return f.grid.v_nodes[f.slices[1]][
-        np.any(np.abs(f.block) > threshold, axis=0)]
+    hot = np.zeros(f.block_shape, dtype=bool)
+    hot[f.nonzero_mask()] = np.abs(f.data) > threshold
+    return f.grid.v_nodes[f.slices[1]][hot.any(axis=0)]
+
+
+def _radius(occupied: np.ndarray) -> float:
+    return float(np.max(np.abs(occupied))) if occupied.size else 0.0
+
+
+def _lowest(occupied: np.ndarray) -> float:
+    return float(np.min(occupied)) if occupied.size else math.inf
 
 
 def velocity_support(f: DensityField, threshold: float | None = None) -> float:
@@ -77,14 +86,12 @@ def velocity_support(f: DensityField, threshold: float | None = None) -> float:
 
     Returns 0.0 for an empty support.
     """
-    occupied = _occupied_velocities(f, threshold)
-    return float(np.max(np.abs(occupied))) if occupied.size else 0.0
+    return _radius(_occupied_velocities(f, threshold))
 
 
 def support_infimum(f: DensityField, threshold: float | None = None) -> float:
     """Lowest velocity carrying mass; +inf when the lattice is empty."""
-    occupied = _occupied_velocities(f, threshold)
-    return float(np.min(occupied)) if occupied.size else math.inf
+    return _lowest(_occupied_velocities(f, threshold))
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,10 @@ def compute_diagnostics(solution: SolutionHistory) -> DiagnosticsTrace:
         out["field_max"][k] = float(b.values.max())
         out["mass"][k] = float(trapezoid_uniform(
             trapezoid_uniform(values, grid.dv, axis=1), grid.dx, axis=0))
-        running = max(running, velocity_support(f, thr))
+        occupied = _occupied_velocities(f, thr)
+        running = max(running, _radius(occupied))
         out["support_radius"][k] = running
-        out["support_inf"][k] = support_infimum(f, thr)
+        out["support_inf"][k] = _lowest(occupied)
         out["dxf_sup"][k] = float(np.max(np.abs(
             np.gradient(values, grid.dx, axis=0, edge_order=2))))
         out["dvf_sup"][k] = float(np.max(np.abs(
@@ -354,10 +362,11 @@ def scenario_hypothesis_check(f0: DensityField, b0: TransportField) -> None:
     sign-definite scenario's hypotheses: f(0) >= 0 with velocity support
     strictly above 1, and B(0) >= 0.
 
-    Off its block f(0) is +0.0, so the block's minimum decides the sign
-    (a NaN minimum passes, as it does over the full lattice).
+    Off its stored entries f(0) is +0.0, so their minimum decides the
+    sign: a negative entry has nonzero bits, -0.0 is not below zero, and
+    a NaN minimum passes, as it does over the full lattice.
     """
-    if f0.block.size and float(f0.block.min()) < 0.0:
+    if f0.data.size and float(f0.data.min()) < 0.0:
         raise ScenarioHypothesisError("initial density must be nonnegative")
     inf0 = support_infimum(f0)
     if not inf0 > 1.0:

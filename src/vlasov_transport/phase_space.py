@@ -26,11 +26,16 @@ result to the range of the enclosing cell's corner values, which
 preserves sign and sup bounds at the cost of formal order.
 
 Memory: a density is compactly supported, so a level is mostly exact
-zeros.  A DensityField stores only the bounding block of its nonzero
-bits and its origin; every entry outside the block is +0.0.  Its full
-lattice is built on each access, on _zero_lattice, where only the rows
-written occupy memory, so a full view is resident only on the block's
-rows and hands its pages back to the system once dropped.
+zeros, and a sheared support fills only a band of its bounding block.
+A DensityField stores the origin and shape of the bounding block of its
+nonzero bits, the block's nonzero-bit entries in C order, and a packed
+bit mask of where they sit: 8 bytes per stored entry and one bit per
+block entry.  Every other entry is +0.0.  Readers that reduce (the sup
+norm, a sign test) read the stored entries; the dense block and the
+full lattice are rebuilt on each access.  The full lattice is built on
+_zero_lattice, where only the rows written occupy memory, so a full
+view is resident only on the rows that hold an entry and hands its
+pages back to the system once dropped.
 """
 
 from __future__ import annotations
@@ -153,20 +158,26 @@ def _bounding_slices(mask: np.ndarray):
 
 @dataclass(frozen=True, eq=False, init=False)
 class DensityField:
-    """Density lattice of shape (nx, nv) at a fixed time, stored as its
-    nonzero block.
+    """Density lattice of shape (nx, nv) at a fixed time, stored as the
+    nonzero entries of its block.
 
-    block is the bounding box of the entries whose bits are nonzero, so
-    -0.0 and NaN sit inside it and every entry outside it is +0.0; origin
-    is the lattice index of its first entry.  A level with no nonzero bits
-    stores an empty block.  DensityField(grid, values, time) crops a full
-    lattice.  values builds a full lattice on every access (see there).
+    The block is the bounding box of the entries whose bits are nonzero,
+    so -0.0 and NaN sit inside it and every entry outside it is +0.0;
+    origin is the lattice index of its first entry and block_shape its
+    shape.  data holds the block's nonzero-bit entries in C order, and
+    mask is np.packbits of where they sit in the block; every other
+    block entry is +0.0.  A level with no nonzero bits stores an empty
+    block.  DensityField(grid, values, time) crops a full lattice.  block
+    and values rebuild the dense block and the full lattice on every
+    access (see there).
     """
 
     grid: PhaseGrid
     time: float
-    block: np.ndarray
     origin: tuple
+    block_shape: tuple
+    data: np.ndarray
+    mask: np.ndarray
 
     def __init__(self, grid: PhaseGrid, values, time: float):
         values = np.asarray(values, dtype=float)
@@ -183,41 +194,61 @@ class DensityField:
         return level
 
     def _crop(self, grid, block, origin, time) -> None:
-        slices = _bounding_slices(block.view(np.int64) != 0)
-        if slices is not None:
-            rs, cs = slices
-            block = block[rs, cs].copy()
-            origin = (int(origin[0] + rs.start), int(origin[1] + cs.start))
-        else:
-            block, origin = np.zeros((0, 0)), (0, 0)
-        block.setflags(write=False)
-        for name, value in (("grid", grid), ("time", time), ("block", block),
-                            ("origin", origin)):
+        nonzero = block.view(np.int64) != 0
+        slices = _bounding_slices(nonzero)
+        if slices is None:
+            origin, slices = (0, 0), (slice(0, 0), slice(0, 0))
+        rs, cs = slices
+        nonzero = nonzero[rs, cs]
+        data = block[rs, cs][nonzero]
+        origin = (int(origin[0] + rs.start), int(origin[1] + cs.start))
+        mask = np.packbits(nonzero)
+        data.setflags(write=False)
+        mask.setflags(write=False)
+        for name, value in (("grid", grid), ("time", time),
+                            ("origin", origin),
+                            ("block_shape", nonzero.shape),
+                            ("data", data), ("mask", mask)):
             object.__setattr__(self, name, value)
 
     @property
     def slices(self) -> tuple:
         """Row and column slices of the block in the lattice."""
-        (i, j), (m, n) = self.origin, self.block.shape
+        (i, j), (m, n) = self.origin, self.block_shape
         return slice(i, i + m), slice(j, j + n)
+
+    def nonzero_mask(self) -> np.ndarray:
+        """Boolean mask of the block entries that data holds, unpacked."""
+        count = math.prod(self.block_shape)
+        return np.unpackbits(self.mask, count=count).view(bool) \
+            .reshape(self.block_shape)
+
+    @property
+    def block(self) -> np.ndarray:
+        """The dense block, read-only and rebuilt on each access."""
+        out = np.zeros(self.block_shape)
+        out[self.nonzero_mask()] = self.data
+        out.setflags(write=False)
+        return out
 
     @property
     def values(self) -> np.ndarray:
         """The full lattice, read-only and built anew on each access.
 
         Every access maps and fills a new lattice; nothing is cached.  It
-        is built on _zero_lattice, so only the block's rows become
-        resident, but each one held adds those rows to the block: a
-        caller that keeps the values of many levels holds more than the
-        levels themselves.  Read the block where a reduction allows it.
+        is built on _zero_lattice, so only the rows that hold an entry of
+        data become resident, but each one held adds those rows to the
+        stored entries: a caller that keeps the values of many levels
+        holds far more than the levels themselves.  Read data where a
+        reduction allows it.
         """
         out = _zero_lattice((self.grid.nx, self.grid.nv))
-        out[self.slices] = self.block
+        out[self.slices][self.nonzero_mask()] = self.data
         out.setflags(write=False)
         return out
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.block))) if self.block.size else 0.0
+        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
 @dataclass(frozen=True)

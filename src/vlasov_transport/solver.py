@@ -33,13 +33,15 @@ largest node value per step.
 
 The same bound keeps memory in step with the support.  Each engine
 writes only the nodes it traces, into a block round them, and stores a
-level as the bounding block of its nonzero entries (DensityField), so a
-level holds only that block.  Neither engine builds a full lattice of a
-stored level: Direct keeps the previous level in one scratch lattice
-that each step rewrites block by block, and Picard compares each new
-level with the previous iterate's over the union of their blocks as
-soon as it is built and drops the old one, so one iterate and one level
-are alive at a time.
+level as the nonzero entries of that block's bounding box of nonzero
+bits with a bit mask of where they sit (DensityField), so a sheared
+support costs its entries, not its box.  Neither engine builds a full
+lattice of a stored level: Direct keeps the previous level in one
+scratch lattice that each step rewrites block by block, from the block
+it has just computed, and Picard compares each new level with the
+previous iterate's over the union of their blocks as soon as it is
+built and drops the old one, so one iterate and one level are alive at
+a time.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -227,9 +229,10 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
 def _sup_distance(a: DensityField, b: DensityField) -> float:
     """max |a.values - b.values|, taken over the union of the two blocks.
 
-    Both levels are +0.0 off it, so the number is the same, NaN included.
+    Both levels are +0.0 off their stored entries, so the number is the
+    same, NaN included: subtracting +0.0 changes no bits.
     """
-    spans = [f.slices for f in (a, b) if f.block.size]
+    spans = [f.slices for f in (a, b) if f.data.size]
     if not spans:
         return 0.0
     r0 = min(rs.start for rs, _ in spans)
@@ -241,10 +244,10 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
         rs, cs = f.slices
         return diff[rs.start - r0:rs.stop - r0, cs.start - c0:cs.stop - c0]
 
-    if a.block.size:
-        part(a)[...] = a.block
-    if b.block.size:
-        part(b)[...] -= b.block
+    if a.data.size:
+        part(a)[a.nonzero_mask()] = a.data
+    if b.data.size:
+        part(b)[b.nonzero_mask()] -= b.data
     return float(np.max(np.abs(diff, out=diff)))
 
 
@@ -494,16 +497,17 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
                          monotone: bool):
     """One backward semi-Lagrangian step of the density lattice.
 
-    lattice holds f_k.values on entry; the step rewrites f_k's block and
-    the next level's in it, so it holds the next level's values on
-    return.  box certifies the support of f_k.  Returns (next level,
-    grown box).  Nodes outside the grown box are exactly zero by the
-    reachability bound.  Inside it, only the nodes whose foot can read a
-    nonzero value of f_k are traced (_live_nodes).  Every other
-    node reads only zeros: interp_lattice sums its stencil from +0.0, so
-    the sum stays +0.0, and a monotone clip to +0.0 corners returns +0.0.
-    Such a node is left +0.0 in the box's block, so the level is bitwise
-    the one a trace of the whole box gives.
+    lattice holds f_k.values on entry; the step clears f_k's block in it
+    and writes the block it has just computed over the grown box, so it
+    holds the next level's values on return.  box certifies the support
+    of f_k.  Returns (next level, grown box).  Nodes outside the grown
+    box are exactly zero by the reachability bound.  Inside it, only the
+    nodes whose foot can read a nonzero value of f_k are traced
+    (_live_nodes).  Every other node reads only zeros: interp_lattice
+    sums its stencil from +0.0, so the sum stays +0.0, and a monotone
+    clip to +0.0 corners returns +0.0.  Such a node is left +0.0 in the
+    box's block, so the level is bitwise the one a trace of the whole box
+    gives.
     """
     grid = f_k.grid
     t_next = f_k.time + dt
@@ -523,7 +527,8 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
                                          monotone=monotone)
     f_next = DensityField._from_block(grid, block, origin, t_next)
     lattice[f_k.slices] = 0.0
-    lattice[f_next.slices] = f_next.block
+    if slices is not None:
+        lattice[slices] = block
     return f_next, new_box
 
 

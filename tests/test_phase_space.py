@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -86,7 +87,6 @@ def test_density_field_stores_the_bounding_block_of_nonzero_bits(grid,
                                                                  data):
     values = data.draw(lattices(grid))
     f = DensityField(grid, values, 0.5)
-    assert same_bits(f.values, values)
     assert not f.values.flags.writeable
     nonzero = values.view(np.int64) != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
@@ -97,7 +97,6 @@ def test_density_field_stores_the_bounding_block_of_nonzero_bits(grid,
         assert same_bits(f.block, values[window])
     else:
         assert f.block.size == 0
-    assert same_bits(f.sup_norm(), np.max(np.abs(values)))
     # a level built from any window that holds the block is the same level
     i = data.draw(st.integers(0, rows[0] if rows.size else grid.nx - 1))
     j = data.draw(st.integers(0, cols[0] if cols.size else grid.nv - 1))
@@ -105,6 +104,30 @@ def test_density_field_stores_the_bounding_block_of_nonzero_bits(grid,
     g = DensityField._from_block(grid, block, (i, j), 0.5)
     assert g.slices == f.slices and same_bits(g.block, f.block)
     assert same_bits(g.values, values)
+
+
+# Bytes a level may hold beyond its entries and its mask: the two array
+# headers.
+STORAGE_OVERHEAD = 512
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_density_field_stores_exactly_its_nonzero_entries(grid, data):
+    values = data.draw(lattices(grid))
+    f = DensityField(grid, values, 0.5)
+    assert same_bits(f.values, values)
+    assert same_bits(f.block, values[f.slices])
+    assert not f.block.flags.writeable
+    assert same_bits(f.sup_norm(), np.max(np.abs(values)))
+    # data: the nonzero-bit entries, in C order, in arrays of their own
+    nonzero = values.view(np.int64) != 0
+    assert same_bits(f.data, values[nonzero])
+    assert f.data.base is None and f.mask.base is None
+    m, n = f.block_shape
+    stored = sys.getsizeof(f.data) + sys.getsizeof(f.mask)
+    assert stored <= (8 * np.count_nonzero(nonzero) + math.ceil(m * n / 8)
+                      + STORAGE_OVERHEAD)
 
 
 def test_bump_density_values_and_support():
