@@ -88,17 +88,16 @@ class MomentProfile:
 def density_moment(f: DensityField) -> MomentProfile:
     """Zeroth velocity moment rho(x) = int f(x, v) dv (trapezoid in v).
 
-    Rows off the block are +0.0, and so is their trapezoid.  The block's
-    rows are rebuilt over the whole v axis first, so that numpy's pairwise
-    sum groups the terms of each row as it does over the full lattice.
+    Rows off the block are +0.0, and so is their trapezoid.  The level is
+    placed into its block's rows widened to the whole v axis first, so
+    that numpy's pairwise sum groups the terms of each row as it does
+    over the full lattice.
     """
     grid = f.grid
     values = np.zeros(grid.nx)
-    if f.data.size:
-        rows, cols = f.slices
-        full_rows = np.zeros((f.block_shape[0], grid.nv))
-        full_rows[:, cols][f.nonzero_mask()] = f.data
-        values[rows] = trapezoid_uniform(full_rows, grid.dv, axis=1)
+    rows = f.slices[0]
+    full_rows = f.place(np.zeros((f.block_shape[0], grid.nv)), (rows.start, 0))
+    values[rows] = trapezoid_uniform(full_rows, grid.dv, axis=1)
     return MomentProfile(grid, values, f.time)
 
 

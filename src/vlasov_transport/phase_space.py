@@ -30,10 +30,10 @@ zeros, and a sheared support fills only a band of its bounding block.
 A DensityField stores the origin and shape of the bounding block of its
 nonzero bits, the block's nonzero-bit entries in C order, and a packed
 bit mask of where they sit: 8 bytes per stored entry and one bit per
-block entry.  Every other entry is +0.0.  Readers that reduce (the sup
-norm, a sign test) read the stored entries; the dense block and the
-full lattice are rebuilt on each access.  The full lattice is built on
-_zero_lattice, where only the rows written occupy memory, so a full
+block entry.  Every other entry is +0.0.  The layout is private to
+DensityField: other modules read a level through values, place, slices
+and reductions on data.  values builds the full lattice on each access,
+on _zero_lattice, where only the rows written occupy memory, so a full
 view is resident only on the rows that hold an entry and hands its
 pages back to the system once dropped.
 """
@@ -167,9 +167,9 @@ class DensityField:
     shape.  data holds the block's nonzero-bit entries in C order, and
     mask is np.packbits of where they sit in the block; every other
     block entry is +0.0.  A level with no nonzero bits stores an empty
-    block.  DensityField(grid, values, time) crops a full lattice.  block
-    and values rebuild the dense block and the full lattice on every
-    access (see there).
+    block.  DensityField(grid, values, time) crops a full lattice.  Only
+    this class reads mask: place writes the stored entries into an
+    array, and values builds the full lattice from them (see there).
     """
 
     grid: PhaseGrid
@@ -217,18 +217,21 @@ class DensityField:
         (i, j), (m, n) = self.origin, self.block_shape
         return slice(i, i + m), slice(j, j + n)
 
-    def nonzero_mask(self) -> np.ndarray:
-        """Boolean mask of the block entries that data holds, unpacked."""
-        count = math.prod(self.block_shape)
-        return np.unpackbits(self.mask, count=count).view(bool) \
-            .reshape(self.block_shape)
+    def place(self, out: np.ndarray, at=(0, 0)) -> np.ndarray:
+        """Write the stored entries into out and return out.
 
-    @property
-    def block(self) -> np.ndarray:
-        """The dense block, read-only and rebuilt on each access."""
-        out = np.zeros(self.block_shape)
-        out[self.nonzero_mask()] = self.data
-        out.setflags(write=False)
+        out[0, 0] is lattice node at, and out must cover the block.  Every
+        entry of out off the stored ones is left as it is, so a level
+        placed into zeros is its lattice over out's window, bitwise.
+        """
+        if not self.data.size:
+            return out
+        (i, j), (m, n) = self.origin, self.block_shape
+        i, j = i - at[0], j - at[1]
+        if min(i, j) < 0 or i + m > out.shape[0] or j + n > out.shape[1]:
+            raise ValueError("out does not cover the level's block")
+        nonzero = np.unpackbits(self.mask, count=m * n).view(bool)
+        out[i:i + m, j:j + n][nonzero.reshape(m, n)] = self.data
         return out
 
     @property
@@ -239,11 +242,10 @@ class DensityField:
         is built on _zero_lattice, so only the rows that hold an entry of
         data become resident, but each one held adds those rows to the
         stored entries: a caller that keeps the values of many levels
-        holds far more than the levels themselves.  Read data where a
-        reduction allows it.
+        holds far more than the levels themselves.  Read data, or place
+        the level into a window, where that allows it.
         """
-        out = _zero_lattice((self.grid.nx, self.grid.nv))
-        out[self.slices][self.nonzero_mask()] = self.data
+        out = self.place(_zero_lattice((self.grid.nx, self.grid.nv)))
         out.setflags(write=False)
         return out
 

@@ -32,16 +32,16 @@ provably misses the support.  Direct grows its support box by the field's
 largest node value per step.
 
 The same bound keeps memory in step with the support.  Each engine
-writes only the nodes it traces, into a block round them, and stores a
-level as the nonzero entries of that block's bounding box of nonzero
-bits with a bit mask of where they sit (DensityField), so a sheared
-support costs its entries, not its box.  Neither engine builds a full
-lattice of a stored level: Direct keeps the previous level in one
-scratch lattice that each step rewrites block by block, from the block
-it has just computed, and Picard compares each new level with the
-previous iterate's over the union of their blocks as soon as it is
-built and drops the old one, so one iterate and one level are alive at
-a time.
+writes only the nodes it traces, into a block round them, and stores
+the block as a DensityField, which keeps only its nonzero entries, so a
+sheared support costs its entries, not its box; this module reads a
+level through values, place, slices and reductions on data.  Neither
+engine builds a full lattice of a stored level: Direct keeps the
+previous level in one scratch lattice that each step rewrites block by
+block, from the block it has just computed, and Picard places each new
+level and the previous iterate's into zeros over the union of their
+blocks, compares them and drops the old one, so one iterate and one
+level are alive at a time.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -235,19 +235,11 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
     spans = [f.slices for f in (a, b) if f.data.size]
     if not spans:
         return 0.0
-    r0 = min(rs.start for rs, _ in spans)
-    c0 = min(cs.start for _, cs in spans)
-    diff = np.zeros((max(rs.stop for rs, _ in spans) - r0,
-                     max(cs.stop for _, cs in spans) - c0))
-
-    def part(f):
-        rs, cs = f.slices
-        return diff[rs.start - r0:rs.stop - r0, cs.start - c0:cs.stop - c0]
-
-    if a.data.size:
-        part(a)[a.nonzero_mask()] = a.data
-    if b.data.size:
-        part(b)[b.nonzero_mask()] -= b.data
+    at = (min(rs.start for rs, _ in spans), min(cs.start for _, cs in spans))
+    shape = (max(rs.stop for rs, _ in spans) - at[0],
+             max(cs.stop for _, cs in spans) - at[1])
+    diff = a.place(np.zeros(shape), at)
+    diff -= b.place(np.zeros(shape), at)
     return float(np.max(np.abs(diff, out=diff)))
 
 

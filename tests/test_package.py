@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,23 @@ def test_module_exports_resolve(name):
     # a stale __all__ entry breaks `from module import *`
     module = importlib.import_module(f"vlasov_transport.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+# A density level's storage layout (its packed bit mask) belongs to
+# phase_space alone: every other module reads a level through values,
+# place, slices and reductions on data, so a change of layout touches one
+# module.
+LAYOUT_ATTRIBUTES = {"mask", "nonzero_mask", "packbits", "unpackbits"}
+
+
+def test_only_phase_space_reads_the_level_layout():
+    package = Path(vlasov_transport.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "phase_space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in LAYOUT_ATTRIBUTES):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []

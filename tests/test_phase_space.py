@@ -19,7 +19,7 @@ from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
                                           _NODE_SNAP, _cubic_table, _frame,
                                           _stencil, _zero_lattice)
 
-from lattices import grids, lattices, same_bits
+from lattices import NONZERO_ENTRY, grids, lattices, same_bits
 
 
 def test_grid_spacing_and_nodes():
@@ -94,16 +94,43 @@ def test_density_field_stores_the_bounding_block_of_nonzero_bits(grid,
     if rows.size:
         window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         assert f.slices == window
-        assert same_bits(f.block, values[window])
     else:
-        assert f.block.size == 0
+        assert f.block_shape == (0, 0) and f.data.size == 0
     # a level built from any window that holds the block is the same level
     i = data.draw(st.integers(0, rows[0] if rows.size else grid.nx - 1))
     j = data.draw(st.integers(0, cols[0] if cols.size else grid.nv - 1))
     block = values[i:, j:].copy()
     g = DensityField._from_block(grid, block, (i, j), 0.5)
-    assert g.slices == f.slices and same_bits(g.block, f.block)
+    assert g.slices == f.slices and same_bits(g.data, f.data)
     assert same_bits(g.values, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_density_field_places_exactly_its_stored_entries(grid, data):
+    values = data.draw(lattices(grid))
+    f = DensityField(grid, values, 0.5)
+    (rs, cs), empty = f.slices, f.data.size == 0
+    # a window [i0, i1) x [j0, j1) of the lattice that covers the block
+    i0 = data.draw(st.integers(0, grid.nx if empty else rs.start))
+    i1 = data.draw(st.integers(i0 if empty else rs.stop, grid.nx))
+    j0 = data.draw(st.integers(0, grid.nv if empty else cs.start))
+    j1 = data.draw(st.integers(j0 if empty else cs.stop, grid.nv))
+    window = values[i0:i1, j0:j1]
+    out = np.zeros(window.shape)
+    assert f.place(out, (i0, j0)) is out
+    assert same_bits(out, window)
+    # over a sentinel it writes the nonzero-bit entries and nothing else
+    sentinel = data.draw(NONZERO_ENTRY)
+    placed = f.place(np.full(window.shape, sentinel), (i0, j0))
+    nonzero = window.view(np.int64) != 0
+    assert same_bits(placed, np.where(nonzero, window, sentinel))
+    if not empty:
+        m, n = f.block_shape
+        with pytest.raises(ValueError, match="does not cover"):
+            f.place(np.zeros((m - 1, n)), f.origin)
+        with pytest.raises(ValueError, match="does not cover"):
+            f.place(np.zeros((m, n)), (rs.start, cs.start + 1))
 
 
 # Bytes a level may hold beyond its entries and its mask: the two array
@@ -117,8 +144,6 @@ def test_density_field_stores_exactly_its_nonzero_entries(grid, data):
     values = data.draw(lattices(grid))
     f = DensityField(grid, values, 0.5)
     assert same_bits(f.values, values)
-    assert same_bits(f.block, values[f.slices])
-    assert not f.block.flags.writeable
     assert same_bits(f.sup_norm(), np.max(np.abs(values)))
     # data: the nonzero-bit entries, in C order, in arrays of their own
     nonzero = values.view(np.int64) != 0
