@@ -115,9 +115,8 @@ class DiagnosticsTrace:
                "dxb_sup")
 
     def rows(self):
-        cols = (self.times, self.density_sup, self.field_sup, self.field_min,
-                self.field_max, self.mass, self.support_radius,
-                self.support_inf, self.dxf_sup, self.dvf_sup, self.dxb_sup)
+        cols = [self.times] + [getattr(self, name)
+                               for name in self.COLUMNS[1:]]
         for k in range(self.times.size):
             yield tuple(float(c[k]) for c in cols)
 

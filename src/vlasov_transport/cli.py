@@ -299,6 +299,10 @@ def _run_engines(config: RunConfig):
     return spec, results, picard_trace
 
 
+def _verdict(passed: bool, measured: float, threshold: float) -> dict:
+    return {"passed": passed, "measured": measured, "threshold": threshold}
+
+
 def _engine_checks(config: RunConfig, spec, engine: str, history, diag,
                    checks: dict) -> None:
     grid = history.grid
@@ -307,16 +311,14 @@ def _engine_checks(config: RunConfig, spec, engine: str, history, diag,
     sup_tol = f0_sup + EXACT_SUP_TOL if exact \
         else f0_sup * (1.0 + DIRECT_SUP_REL_TOL) + EXACT_SUP_TOL
     measured_sup = float(diag.density_sup.max())
-    checks[f"{engine}_sup_preservation"] = {
-        "passed": measured_sup <= sup_tol,
-        "measured": measured_sup, "threshold": sup_tol}
+    checks[f"{engine}_sup_preservation"] = _verdict(
+        measured_sup <= sup_tol, measured_sup, sup_tol)
 
     mass0 = float(diag.mass[0])
     drift = float(np.max(np.abs(diag.mass - mass0))) / max(abs(mass0), 1e-30) \
         if mass0 != 0.0 else float(np.max(np.abs(diag.mass)))
-    checks[f"{engine}_mass_drift"] = {
-        "passed": drift < MASS_DRIFT_TOL,
-        "measured": drift, "threshold": MASS_DRIFT_TOL}
+    checks[f"{engine}_mass_drift"] = _verdict(drift < MASS_DRIFT_TOL, drift,
+                                              MASS_DRIFT_TOL)
 
     b_sup_max = float(diag.field_sup.max())
     support_slack = grid.dv + config.dt * b_sup_max
@@ -324,24 +326,21 @@ def _engine_checks(config: RunConfig, spec, engine: str, history, diag,
                                     + cumtrapz_uniform(diag.field_sup,
                                                        config.dt))
     worst_growth = float(growth.max())
-    checks[f"{engine}_support_bound"] = {
-        "passed": worst_growth <= support_slack,
-        "measured": worst_growth, "threshold": support_slack}
+    checks[f"{engine}_support_bound"] = _verdict(
+        worst_growth <= support_slack, worst_growth, support_slack)
 
     c = conservative_data_constant(f0_sup, spec.field().sup_norm)
     report = field_sup_bound_check(diag.field_sup, diag.support_radius,
                                    config.dt, c, dv=grid.dv)
-    checks[f"{engine}_field_bound"] = {
-        "passed": report.satisfied, "measured": report.max_ratio,
-        "threshold": 1.0}
+    checks[f"{engine}_field_bound"] = _verdict(report.satisfied,
+                                               report.max_ratio, 1.0)
 
-    c_t = max(spec.field().derivative_sup, 1.0) \
-        * max(2.0 * float(diag.support_radius.max()), 1.0)
+    c_t = conservative_data_constant(float(diag.support_radius.max()),
+                                     spec.field().derivative_sup)
     report = field_derivative_bound_check(diag.dxb_sup, diag.dxf_sup,
                                           config.dt, c_t)
-    checks[f"{engine}_field_derivative_bound"] = {
-        "passed": report.satisfied, "measured": report.max_ratio,
-        "threshold": 1.0}
+    checks[f"{engine}_field_derivative_bound"] = _verdict(
+        report.satisfied, report.max_ratio, 1.0)
 
 
 def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
@@ -368,76 +367,68 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
     checks: dict = {}
     info: dict = {}
     files: list = []
+    # CSV name -> (header, rows); a table is registered by its first
+    # producer, and every registered table is written at the end.
+    tables: dict = {}
 
-    diag_rows = []
-    holder_rows = []
-    residual_rows = []
-    scenario_rows = []
+    def table(name: str, *header: str) -> list:
+        return tables.setdefault(name, (header, []))[1]
+
     for engine in sorted(results):
         history = results[engine]
         diag = compute_diagnostics(history)
-        for row in diag.rows():
-            diag_rows.append((engine,) + row)
+        table("diagnostics.csv", "engine", *DiagnosticsTrace.COLUMNS).extend(
+            (engine,) + row for row in diag.rows())
         _engine_checks(config, spec, engine, history, diag, checks)
 
         if config.diag_holder:
             report = holder_quotient(history.b_levels, config.dt)
-            for h, sup, q in zip(report.space_offsets, report.space_sup,
-                                 report.space_quotient):
-                holder_rows.append((engine, "space", float(h), float(sup),
-                                    float(q)))
-            for h, sup, q in zip(report.time_offsets, report.time_sup,
-                                 report.time_quotient):
-                holder_rows.append((engine, "time", float(h), float(sup),
-                                    float(q)))
+            rows = table("holder.csv", "engine", "axis", "offset", "sup",
+                         "quotient")
+            for axis in ("space", "time"):
+                columns = (getattr(report, f"{axis}_{name}")
+                           for name in ("offsets", "sup", "quotient"))
+                rows.extend((engine, axis) + tuple(map(float, row))
+                            for row in zip(*columns))
             quotients = np.concatenate([report.space_quotient,
                                         report.time_quotient])
             info[f"{engine}_holder_quotient_max"] = float(quotients.max())
 
         if config.diag_residual:
             density_res, field_res = pde_residual(history)
-            residual_rows.append((engine, density_res, field_res))
+            table("residuals.csv", "engine", "density_residual",
+                  "field_residual").append((engine, density_res, field_res))
             info[f"{engine}_density_residual"] = density_res
             info[f"{engine}_field_residual"] = field_res
 
         if config.diag_scenario:
             report = scenario_monotone_check(history)
-            scenario_rows.append((engine, report.field_min,
-                                  report.max_support_drop))
-            checks[f"{engine}_scenario"] = {
-                "passed": report.passed,
-                "measured": min(report.field_min, 0.0),
-                "threshold": -report.field_min_tol}
-            checks[f"{engine}_scenario_support"] = {
-                "passed": report.max_support_drop <= report.support_drop_tol,
-                "measured": report.max_support_drop,
-                "threshold": report.support_drop_tol}
+            table("scenario.csv", "engine", "field_min",
+                  "max_support_drop").append(
+                (engine, report.field_min, report.max_support_drop))
+            checks[f"{engine}_scenario"] = _verdict(
+                report.passed, min(report.field_min, 0.0),
+                -report.field_min_tol)
+            checks[f"{engine}_scenario_support"] = _verdict(
+                report.max_support_drop <= report.support_drop_tol,
+                report.max_support_drop, report.support_drop_tol)
 
         for t_snap in config.snapshot_times:
             level = round(t_snap / config.dt)
-            f_path = out / f"snapshot_{engine}_f_level{level}.snap"
-            b_path = out / f"snapshot_{engine}_b_level{level}.snap"
-            write_snapshot(f_path, history.f_levels[level].values,
-                           history.f_levels[level].time)
-            write_snapshot(b_path, history.b_levels[level].values,
-                           history.b_levels[level].time)
-            files.extend([f_path, b_path])
-
-    diag_path = out / "diagnostics.csv"
-    _write_csv(diag_path, ("engine",) + DiagnosticsTrace.COLUMNS, diag_rows)
-    files.append(diag_path)
+            for kind, levels in (("f", history.f_levels),
+                                 ("b", history.b_levels)):
+                path = out / f"snapshot_{engine}_{kind}_level{level}.snap"
+                write_snapshot(path, levels[level].values, levels[level].time)
+                files.append(path)
 
     if picard_trace is not None:
-        trace_path = out / "picard_trace.csv"
-        _write_csv(trace_path, ("iteration", "field_diff", "density_diff"),
-                   [(k + 1, db, df) for k, (db, df) in enumerate(
-                       zip(picard_trace.field_diffs,
-                           picard_trace.density_diffs))])
-        files.append(trace_path)
-        checks["picard_converged"] = {
-            "passed": picard_trace.converged,
-            "measured": float(picard_trace.iterations),
-            "threshold": float(config.picard_max_iter)}
+        table("picard_trace.csv", "iteration", "field_diff",
+              "density_diff").extend(
+            (k + 1, db, df) for k, (db, df) in enumerate(
+                zip(picard_trace.field_diffs, picard_trace.density_diffs)))
+        checks["picard_converged"] = _verdict(
+            picard_trace.converged, float(picard_trace.iterations),
+            float(config.picard_max_iter))
 
     if config.engine == "both":
         dist = max(float(np.max(np.abs(p.values - d.values)))
@@ -446,33 +437,19 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
         grid = config.grid()
         threshold = max(5.0 * config.picard_tol,
                         CROSS_ENGINE_CONST * (config.dt ** 2 + grid.dx ** 3))
-        checks["cross_engine_distance"] = {
-            "passed": dist <= threshold, "measured": dist,
-            "threshold": threshold}
+        checks["cross_engine_distance"] = _verdict(dist <= threshold, dist,
+                                                   threshold)
 
-    if config.diag_holder:
-        path = out / "holder.csv"
-        _write_csv(path, ("engine", "axis", "offset", "sup", "quotient"),
-                   holder_rows)
-        files.append(path)
-    if config.diag_residual:
-        path = out / "residuals.csv"
-        _write_csv(path, ("engine", "density_residual", "field_residual"),
-                   residual_rows)
-        files.append(path)
-    if config.diag_scenario:
-        path = out / "scenario.csv"
-        _write_csv(path, ("engine", "field_min", "max_support_drop"),
-                   scenario_rows)
-        files.append(path)
     if config.majorant_c > 0:
         result = majorant_existence_time(config.majorant_c,
                                          config.majorant_cap)
-        path = out / "majorant.csv"
-        _write_csv(path, ("t", "F"),
-                   list(zip(result.times.tolist(), result.values.tolist())))
-        files.append(path)
+        table("majorant.csv", "t", "F").extend(
+            zip(result.times.tolist(), result.values.tolist()))
         info["majorant_blowup_time"] = _json_safe(result.blowup_time)
+
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+        files.append(out / name)
 
     ok = all(entry["passed"] for entry in checks.values())
     summary = {

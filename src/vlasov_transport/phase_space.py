@@ -639,8 +639,9 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
     coord = q - x0
     coord /= dx
     outside = None
-    if (np.minimum.reduce(coord) < -_RANGE_SLACK
-            or np.maximum.reduce(coord) > (n - 1) + _RANGE_SLACK):
+    # An empty query has no range to test; it reads an empty result.
+    if q.size and (np.minimum.reduce(coord) < -_RANGE_SLACK
+                   or np.maximum.reduce(coord) > (n - 1) + _RANGE_SLACK):
         outside = (coord < -_RANGE_SLACK) | (coord > (n - 1) + _RANGE_SLACK)
         if out_of_range == "error":
             worst = q[outside]

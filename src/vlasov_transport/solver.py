@@ -540,6 +540,10 @@ def majorant_existence_time(c: float, cap: float, ds: float = 1e-3,
         raise ValueError("cap must exceed the initial value F(0) = C")
     if ds <= 0 or horizon <= 0:
         raise ValueError("step size and horizon must be positive")
+    steps = horizon / ds
+    if not math.isfinite(steps):
+        raise ValueError(f"step count horizon / ds = {horizon} / {ds} "
+                         "is not finite")
 
     def rhs(t, f):
         w = 1.0 + t * f
@@ -549,8 +553,7 @@ def majorant_existence_time(c: float, cap: float, ds: float = 1e-3,
     values = [c]
     t, f = 0.0, c
     blowup = math.inf
-    n_steps = int(math.ceil(horizon / ds))
-    for k in range(n_steps):
+    for _ in range(math.ceil(steps)):
         h = min(ds, horizon - t)
         if h <= 0:
             break

@@ -116,6 +116,15 @@ def test_trace_states_validation():
     assert x[0] == 1.0 and v[0] == 2.0
 
 
+def test_trace_states_of_no_states_is_empty():
+    grid = build_phase_grid(-1.0, 1.0, -1.0, 1.0, 9, 4)
+    history = LatticeFieldHistory(
+        grid, np.stack([np.linspace(0.0, 1.0, 9)] * 3), 0.25)
+    for field in (history, AnalyticFieldHistory.constant(2.0)):
+        x, v = trace_states(np.empty(0), np.empty(0), 0.5, 0.0, field, 2)
+        assert x.shape == v.shape == (0,)
+
+
 def test_lattice_history_time_interpolation():
     grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 9, 4)
     lower = np.linspace(0.0, 1.0, 9)

@@ -251,6 +251,71 @@ def test_run_scenario_artifacts(tmp_path):
     assert t_snap == 0.25
 
 
+# The header line of every CSV table a run can write.
+CSV_HEADERS = {
+    "diagnostics.csv": "engine,time,density_sup,field_sup,field_min,"
+                       "field_max,mass,support_radius,support_inf,dxf_sup,"
+                       "dvf_sup,dxb_sup",
+    "picard_trace.csv": "iteration,field_diff,density_diff",
+    "holder.csv": "engine,axis,offset,sup,quotient",
+    "residuals.csv": "engine,density_residual,field_residual",
+    "scenario.csv": "engine,field_min,max_support_drop",
+    "majorant.csv": "t,F",
+}
+
+# sign-definite data that meet the scenario's hypotheses, so that every
+# toggle below can be turned on for every engine
+TINY_SIGN_DEFINITE = """
+x_min = -2
+x_max = 4
+v_min = 0.5
+v_max = 4
+nx = 33
+nv = 33
+dt = 0.03125
+T = 0.25
+f0_center_v = 2.0
+"""
+
+
+@pytest.mark.parametrize("engine", ["picard", "direct", "both"])
+@pytest.mark.parametrize("toggles,tables,snapshot_levels", [
+    ("", {"holder.csv", "residuals.csv", "majorant.csv"}, ()),
+    ("diag_holder = false", {"residuals.csv", "majorant.csv"}, ()),
+    ("diag_residual = false", {"holder.csv", "majorant.csv"}, ()),
+    ("diag_scenario = true",
+     {"holder.csv", "residuals.csv", "scenario.csv", "majorant.csv"}, ()),
+    ("majorant_C = 0", {"holder.csv", "residuals.csv"}, ()),
+    ("snapshot_times = 0.0, 0.25",
+     {"holder.csv", "residuals.csv", "majorant.csv"}, (0, 8)),
+    ("diag_holder = false\ndiag_residual = false\nmajorant_C = 0", set(),
+     ()),
+])
+def test_run_scenario_writes_exactly_the_enabled_artifacts(
+        tmp_path, engine, toggles, tables, snapshot_levels):
+    cfg = parse_config(TINY_SIGN_DEFINITE + f"engine = {engine}\n" + toggles)
+    art = run_scenario(cfg, out_dir=tmp_path)
+    engines = ["direct", "picard"] if engine == "both" else [engine]
+    csvs = {"diagnostics.csv"} | tables
+    if engine != "direct":
+        csvs.add("picard_trace.csv")
+    snapshots = {f"snapshot_{e}_{kind}_level{k}.snap" for e in engines
+                 for kind in "fb" for k in snapshot_levels}
+    expected = csvs | snapshots | {"summary.json"}
+    names = [p.name for p in art.files]
+    assert sorted(names) == sorted(expected)
+    assert all(p.parent == tmp_path for p in art.files)
+    assert {p.name for p in tmp_path.iterdir()} == expected
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["files"] == sorted(expected - {"summary.json"})
+    for name in csvs:
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert header == CSV_HEADERS[name], name
+        assert rows, name
+        if header.startswith("engine,"):
+            assert sorted({row.split(",")[0] for row in rows}) == engines
+
+
 def test_run_scenario_clean_config_passes(tmp_path):
     cfg = parse_config(TINY_CLEAN)
     art = run_scenario(cfg, out_dir=tmp_path)
@@ -419,6 +484,9 @@ def test_main_majorant_json(capsys):
      "majorant arguments must be finite"),
     (["majorant", "--C", "nan", "--cap", "10"],
      "majorant arguments must be finite"),
+    # finite flags whose step count horizon / ds overflows
+    (["majorant", "--C", "1", "--cap", "10", "--ds", "1e-320"],
+     "step count horizon / ds = 50.0 / 1e-320 is not finite"),
     (["transform", "--u", "1", "--x-max", "inf", "{src}", "{out}"],
      "grid bounds must be finite"),
     # finite bounds whose span overflows

@@ -520,6 +520,20 @@ def test_interp_profile_reads_node_values_from_a_given_table():
         interp_profile(0.0, 1.0, values, xq, table=table)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_interp_profile_reads_an_empty_query_as_an_empty_result(shape):
+    values = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
+    table = _cubic_table(values)
+    xq = np.empty(shape)
+    for profile in ({"values": values}, {"values": None, "table": table}):
+        for out_of_range in ("error", "zero"):
+            for monotone in (False, True):
+                got = interp_profile(0.0, 1.0, xq=xq,
+                                     out_of_range=out_of_range,
+                                     monotone=monotone, **profile)
+                assert got.shape == shape and got.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # properties of the tensor-product lattice interpolator
 

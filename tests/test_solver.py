@@ -285,6 +285,9 @@ def test_majorant_validates_arguments():
                    {"horizon": math.inf}, {"horizon": math.nan}]:
         with pytest.raises(ValueError, match="must be finite"):
             majorant_existence_time(1.0, 10.0, **kwargs)
+    # finite arguments whose step count horizon / ds overflows
+    with pytest.raises(ValueError, match="is not finite"):
+        majorant_existence_time(1.0, 10.0, ds=1e-320)
 
 
 def test_majorant_zero_constant_never_blows_up():
