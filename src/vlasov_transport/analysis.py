@@ -181,11 +181,12 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     # support are compared too.
     pad = ((box[0][0] - 3 * grid.dx, box[0][1] + 3 * grid.dx),
            (box[1][0] - 3 * grid.dv, box[1][1] + 3 * grid.dv))
-    mask = _support_mask(grid, pad, t, *hist.range_bound())
-    if not mask.any():
+    selection = _support_mask(grid, pad, t, *hist.range_bound())
+    if selection is None:
         return 0.0, 0.0
-    xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
-    vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
+    rs, cs, mask = selection
+    xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
+    vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
     sample_times = dt * np.arange(m, -1, -1)
     xs, vs = trace_backward_sampled(xg, vg, t, sample_times, hist)
     xs, vs = xs[::-1], vs[::-1]      # ascending level order 0..m
@@ -205,8 +206,8 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     rep_dv = f0.dv(xs[0], vs[0]) - trapezoid_uniform(gx, dt, axis=0)
     rep_dx = f0.dx(xs[0], vs[0]) - trapezoid_uniform(gv, dt, axis=0)
     # the loop's last pass left level m's finite differences
-    return (float(np.max(np.abs(dvf_k[mask] - rep_dv))),
-            float(np.max(np.abs(dxf_k[mask] - rep_dx))))
+    return (float(np.max(np.abs(dvf_k[rs, cs][mask] - rep_dv))),
+            float(np.max(np.abs(dxf_k[rs, cs][mask] - rep_dx))))
 
 
 def transform_rectangle(grid: PhaseGrid, u: float, times) -> PhaseGrid:

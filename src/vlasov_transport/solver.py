@@ -21,27 +21,27 @@ on a shared grid and uniform time levels:
   the predicted field (one semi-Lagrangian lattice interpolation per
   step), then applies one trapezoid corrector with the new moment.
 
-Both engines confine the expensive characteristic tracing to an active
-region around the density support.  Outside it the density is exactly
-zero: a trajectory whose velocity stays too far from the support velocity
-band, or whose position cannot reach the support spatially in the time
+Both engines build a density level the same way (_traced_level): pick
+nodes, trace them back with trace_states, read a value at their feet
+and store the block round them.  Each engine owns only its selection
+and its read.  Outside the selection the density is exactly zero: a
+trajectory whose velocity stays too far from the support velocity band,
+or whose position cannot reach the support spatially in the time
 available, cannot carry mass.  Picard bounds the reach by a signed range
 that every value of the interpolated field history lies in
-(LatticeFieldHistory.range_bound), so it drops only nodes whose foot
-provably misses the support.  Direct grows its support box by the field's
-largest node value per step.
+(LatticeFieldHistory.range_bound) and reads f0.  Direct grows its
+support box by the field's largest node value per step, keeps the box's
+nodes whose stencil can read a nonzero, and interpolates the lattice.
 
-The same bound keeps memory in step with the support.  Each engine
-writes only the nodes it traces, into a block round them, and stores
-the block as a DensityField, which keeps only its nonzero entries, so a
-sheared support costs its entries, not its box; this module reads a
-level through values, place, slices and reductions on data.  Neither
-engine builds a full lattice of a stored level: Direct keeps the
-previous level in one scratch lattice that each step rewrites block by
-block, from the block it has just computed, and Picard places each new
-level and the previous iterate's into zeros over the union of their
-blocks, compares them and drops the old one, so one iterate and one
-level are alive at a time.
+A level is stored as a DensityField, which keeps only its nonzero
+entries, so a sheared support costs its entries, not its box; this
+module reads a level through values, place, slices and reductions on
+data.  Neither engine builds a full lattice of a stored level: Direct
+keeps the previous level in one scratch lattice that each step clears
+block by block and refills by placing the new level, and Picard places
+each new level and the previous iterate's into zeros over the union of
+their blocks, compares them and drops the old one, so one iterate and
+one level are alive at a time.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -53,6 +53,7 @@ estimates above are known to close.  C = 0 never blows up.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
@@ -148,9 +149,16 @@ def _levels_for(t_total: float, dt: float) -> int:
 _ROUNDING_SLACK = 1e-6
 
 
-def _support_mask(grid: PhaseGrid, box, t: float, lo: float,
-                  hi: float) -> np.ndarray:
-    """Nodes whose backward foot point can land in the box.
+def _node_run(nodes: np.ndarray, lo: float, hi: float):
+    """Slice of the (increasing) nodes in [lo, hi], or None if empty."""
+    run = np.flatnonzero((nodes >= lo) & (nodes <= hi))
+    if not run.size:
+        return None
+    return slice(run[0], run[-1] + 1)
+
+
+def _support_mask(grid: PhaseGrid, box, t: float, lo: float, hi: float):
+    """Selection of the nodes whose backward foot point can land in the box.
 
     lo <= B <= hi wherever the trace reads the field.  One RK4 step of
     size h maps (X, V) to
@@ -168,7 +176,9 @@ def _support_mask(grid: PhaseGrid, box, t: float, lo: float,
     meet the box.  The reach terms t [lo, hi] and (t^2 / 2) [lo, hi] are
     widened by 1e-9 of their size and by 1e-12, and the box by
     _ROUNDING_SLACK cells, for rounding.  For a sign-definite field the
-    velocity moves one way only, and so does the window.
+    velocity moves one way only, and so does the window.  Returns the
+    selection (rows, cols, mask) whose window rows x cols is the bounding
+    box of the kept nodes, or None if no node is kept.
     """
     (x_lo, x_hi), (v_lo, v_hi) = box
     size = max(abs(lo), abs(hi))
@@ -179,20 +189,41 @@ def _support_mask(grid: PhaseGrid, box, t: float, lo: float,
 
     reach_lo, reach_hi = reach(t)
     pad_v = _ROUNDING_SLACK * grid.dv
-    v_ok = ((grid.v_nodes >= v_lo + reach_lo - pad_v)
-            & (grid.v_nodes <= v_hi + reach_hi + pad_v))
+    band = _node_run(grid.v_nodes, v_lo + reach_lo - pad_v,
+                     v_hi + reach_hi + pad_v)
+    if band is None:
+        return None
+    # The x-window is only worked out on the v-band.
     reach_lo, reach_hi = reach(0.5 * t * t)
     pad_x = _ROUNDING_SLACK * grid.dx
-    mask = np.zeros((grid.nx, grid.nv), dtype=bool)
-    # v_ok is one run of columns (the v-nodes increase); the x-window is
-    # only worked out there.
-    cols = np.flatnonzero(v_ok)
-    if cols.size:
-        band = slice(cols[0], cols[-1] + 1)
-        foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, band]
-        mask[:, band] = ((foot + reach_hi + pad_x >= x_lo)
-                         & (foot + reach_lo - pad_x <= x_hi))
-    return mask
+    foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, band]
+    mask = ((foot + reach_hi + pad_x >= x_lo)
+            & (foot + reach_lo - pad_x <= x_hi))
+    window = _bounding_slices(mask)
+    if window is None:
+        return None
+    rs, cs = window
+    return (rs, slice(band.start + cs.start, band.start + cs.stop),
+            mask[window])
+
+
+def _traced_level(grid: PhaseGrid, selection, t: float, s_end: float,
+                  field, substeps: int, read) -> DensityField:
+    """The level at time t that holds read(x0, v0) at the selected nodes.
+
+    selection is (rows, cols, mask), the nodes of the window rows x cols
+    where mask is True, or None.  Each selected node is traced back from
+    t to s_end in substeps RK4 steps against field, to its foot (x0, v0).
+    Every other node is +0.0, and with no node selected nothing is traced.
+    """
+    block, origin = np.zeros((0, 0)), (0, 0)
+    if selection is not None:
+        rs, cs, mask = selection
+        xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
+        vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
+        block, origin = np.zeros(mask.shape), (rs.start, cs.start)
+        block[mask] = read(*trace_states(xg, vg, t, s_end, field, substeps))
+    return DensityField._from_block(grid, block, origin, t)
 
 
 def advect_density(f0, grid: PhaseGrid, field, t: float,
@@ -204,26 +235,15 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
     of the output never exceeds the sup norm of f0.  Only nodes whose foot
     can land in f0's support box are traced (_support_mask, on the
     field's range_bound); every other node, whose foot provably misses
-    the box, and every node of a family without a box, is +0.0.  The
-    level is built from the bounding block of the traced nodes.
+    the box, and every node of a family without a box, is +0.0.
     """
     if t == 0.0:
         values = f0.value(grid.x_nodes[:, None], grid.v_nodes[None, :])
         return DensityField(grid, values, 0.0)
-    block, origin = np.zeros((0, 0)), (0, 0)
+    selection = None
     if f0.support is not None:
-        mask = _support_mask(grid, f0.support, t, *field.range_bound())
-        slices = _bounding_slices(mask)
-        if slices is not None:
-            rs, cs = slices
-            mask = mask[rs, cs]
-            xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
-            vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
-            x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
-            block = np.zeros(mask.shape)
-            block[mask] = f0.value(x0, v0)
-            origin = (rs.start, cs.start)
-    return DensityField._from_block(grid, block, origin, t)
+        selection = _support_mask(grid, f0.support, t, *field.range_bound())
+    return _traced_level(grid, selection, t, 0.0, field, substeps, f0.value)
 
 
 def _sup_distance(a: DensityField, b: DensityField) -> float:
@@ -394,22 +414,6 @@ def _grow_box(box, dt: float, b_max: float):
     return (x_lo + dt * v_lo - slop, x_hi + dt * v_hi + slop), (v_lo, v_hi)
 
 
-def _box_slices(grid: PhaseGrid, box):
-    """Row and column slices of the nodes inside box, or None if empty.
-
-    The nodes increase along each axis, so the box is one run of rows by
-    one run of columns.
-    """
-    if box is None:
-        return None
-    (x_lo, x_hi), (v_lo, v_hi) = box
-    rows = np.flatnonzero((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi))
-    cols = np.flatnonzero((grid.v_nodes >= v_lo) & (grid.v_nodes <= v_hi))
-    if not (rows.size and cols.size):
-        return None
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-
-
 # The 4-point Lagrange weights' absolute values sum to at most 1.6312 (in
 # an edge cell; 1.25 inside), so a cubic profile is bounded by that times
 # its largest node value.  2 bounds it with room for rounding.
@@ -436,8 +440,9 @@ def _clamp(first, last, n: int, span: int):
 
 
 def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
-                dt: float, b_max: float, monotone: bool) -> np.ndarray:
-    """Nodes of the block (rs, cs) whose step can read a nonzero of f_prev.
+                dt: float, b_max: float, monotone: bool):
+    """Selection of the nodes of the block (rs, cs) whose step can read a
+    nonzero of f_prev: (rs, cs, mask), or None if there are none.
 
     One RK4 step of size dt under a field whose node values are bounded
     by b_max moves the foot of node (x, v) at most dt^2 L b_max / 2 from
@@ -481,7 +486,7 @@ def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
         first, last = _clamp(rows + o_lo[a], rows + o_hi[a], grid.nx, span)
         np.greater(in_cols[last - r0 + 1, a:b], in_cols[first - r0, a:b],
                    out=live[:, a:b])
-    return live
+    return (rs, cs, live) if live.any() else None
 
 
 def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
@@ -490,37 +495,31 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
     """One backward semi-Lagrangian step of the density lattice.
 
     lattice holds f_k.values on entry; the step clears f_k's block in it
-    and writes the block it has just computed over the grown box, so it
-    holds the next level's values on return.  box certifies the support
-    of f_k.  Returns (next level, grown box).  Nodes outside the grown
-    box are exactly zero by the reachability bound.  Inside it, only the
-    nodes whose foot can read a nonzero value of f_k are traced
-    (_live_nodes).  Every other node reads only zeros: interp_lattice
-    sums its stencil from +0.0, so the sum stays +0.0, and a monotone
-    clip to +0.0 corners returns +0.0.  Such a node is left +0.0 in the
-    box's block, so the level is bitwise the one a trace of the whole box
-    gives.
+    and places the next level there, so it holds the next level's values
+    on return.  box certifies the support of f_k.  Returns (next level,
+    grown box).  Nodes outside the grown box are exactly zero by the
+    reachability bound.  Inside it, only the nodes whose foot can read a
+    nonzero value of f_k are traced (_live_nodes).  Every other node
+    reads only zeros: interp_lattice sums its stencil from +0.0, so the
+    sum stays +0.0, and a monotone clip to +0.0 corners returns +0.0.
+    Such a node is left +0.0, so the level is bitwise the one a trace of
+    the whole box gives.
     """
     grid = f_k.grid
-    t_next = f_k.time + dt
     b_max = step_hist.sup_bound()
     new_box = None if box is None else _grow_box(box, dt, b_max)
-    slices = _box_slices(grid, new_box)
-    block, origin = np.zeros((0, 0)), (0, 0)
-    if slices is not None:
-        rs, cs = slices
-        live = _live_nodes(lattice, grid, rs, cs, dt, b_max, monotone)
-        block, origin = np.zeros(live.shape), (rs.start, cs.start)
-        if live.any():
-            xg = np.broadcast_to(grid.x_nodes[rs, None], live.shape)[live]
-            vg = np.broadcast_to(grid.v_nodes[None, cs], live.shape)[live]
-            xf, vf = trace_states(xg, vg, t_next, f_k.time, step_hist, 1)
-            block[live] = interp_lattice(grid, lattice, xf, vf,
-                                         monotone=monotone)
-    f_next = DensityField._from_block(grid, block, origin, t_next)
+    selection = None
+    if new_box is not None:
+        rs = _node_run(grid.x_nodes, *new_box[0])
+        cs = _node_run(grid.v_nodes, *new_box[1])
+        if rs is not None and cs is not None:
+            selection = _live_nodes(lattice, grid, rs, cs, dt, b_max,
+                                    monotone)
+    read = functools.partial(interp_lattice, grid, lattice, monotone=monotone)
+    f_next = _traced_level(grid, selection, f_k.time + dt, f_k.time,
+                           step_hist, 1, read)
     lattice[f_k.slices] = 0.0
-    if slices is not None:
-        lattice[slices] = block
+    f_next.place(lattice)
     return f_next, new_box
 
 

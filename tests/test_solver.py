@@ -362,6 +362,19 @@ def _support_mask_full_grid(grid, box, t, lo, hi):
     return x_ok & v_ok[None, :]
 
 
+def _selected(grid, selection):
+    # a selection as a mask over the whole grid; its window must be the
+    # bounding box of the selected nodes
+    full = np.zeros((grid.nx, grid.nv), dtype=bool)
+    if selection is not None:
+        rs, cs, mask = selection
+        assert mask.shape == (rs.stop - rs.start, cs.stop - cs.start)
+        assert mask[[0, -1]].any(axis=1).all()
+        assert mask[:, [0, -1]].any(axis=0).all()
+        full[rs, cs] = mask
+    return full
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(4, 40), st.integers(4, 40),
        st.tuples(st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
@@ -372,8 +385,7 @@ def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, lo,
     grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, nx, nv)
     box = ((bx[0], bx[0] + bx[1]), (bv[0], bv[0] + bv[1]))
     hi = lo + span
-    got = _support_mask(grid, box, t, lo, hi)
-    assert got.shape == (nx, nv)
+    got = _selected(grid, _support_mask(grid, box, t, lo, hi))
     assert np.array_equal(got, _support_mask_full_grid(grid, box, t, lo, hi))
 
 
@@ -434,10 +446,31 @@ def test_support_mask_keeps_every_node_whose_foot_lands_in_the_box(
     r = data.draw(st.lists(radius, min_size=4, max_size=4))
     box = ((x0.flat[i] - r[0], x0.flat[i] + r[1]),
            (v0.flat[i] - r[2], v0.flat[i] + r[3]))
-    mask = _support_mask(grid, box, t, *field.range_bound())
+    mask = _selected(grid, _support_mask(grid, box, t, *field.range_bound()))
     inside = ((x0 > box[0][0]) & (x0 < box[0][1])
               & (v0 > box[1][0]) & (v0 < box[1][1]))
     assert not np.any(inside & ~mask)
+
+
+@pytest.mark.parametrize("b, t", [(lambda s, x: 0.3 * np.cos(x), 0.25),
+                                  (lambda s, x: 0.3 * np.cos(x), 1.0),
+                                  (lambda s, x: np.full_like(x, 5.0), 1.0)])
+def test_advect_density_traces_exactly_the_kept_nodes(monkeypatch, b, t):
+    # the last field moves every foot's velocity off the box: none is kept
+    f0 = InitialDataSpec().density()
+    grid = _grid()
+    field = AnalyticFieldHistory(b, sup_bound=5.0)
+    traced = []
+
+    def counting(x, v, *args):
+        traced.append(np.size(x))
+        return trace_states(x, v, *args)
+
+    monkeypatch.setattr(solver, "trace_states", counting)
+    advect_density(f0, grid, field, t, 8)
+    kept = np.count_nonzero(_support_mask_full_grid(
+        grid, f0.support, t, *field.range_bound()))
+    assert traced == ([kept] if kept else [])
 
 
 def _whole_box_step(f, box, step_hist, dt, monotone):
@@ -504,9 +537,9 @@ def test_direct_step_traces_only_nodes_that_can_carry_mass(monkeypatch):
     monkeypatch.setattr(solver, "trace_states", counting)
     pruned = solve_direct(spec, grid, 1.0, 1.0 / 64.0, monotone=True)
     pruned_count, traced[:] = sum(traced), []
-    monkeypatch.setattr(solver, "_live_nodes", lambda f, g, rs, cs, *a:
-                        np.ones((rs.stop - rs.start, cs.stop - cs.start),
-                                dtype=bool))
+    monkeypatch.setattr(solver, "_live_nodes", lambda f, g, rs, cs, *a: (
+        rs, cs, np.ones((rs.stop - rs.start, cs.stop - cs.start),
+                        dtype=bool)))
     whole = solve_direct(spec, grid, 1.0, 1.0 / 64.0, monotone=True)
     box_count = sum(traced)
     assert len(traced) == pruned.n_levels - 1
