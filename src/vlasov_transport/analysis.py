@@ -244,7 +244,7 @@ def transform_density_level(f: DensityField, new_grid: PhaseGrid,
     vq = a * new_grid.v_nodes - u
     values = interp_lattice(f.grid, f.values, xq[:, None], vq[None, :])
     if a < 0.0:
-        values = -values
+        values = 0.0 - values    # not -values: +0.0 stays +0.0
     return DensityField(new_grid, values, f.time)
 
 

@@ -286,15 +286,11 @@ def _bump(z: np.ndarray, power: int = 2) -> np.ndarray:
     # (1 - z^2)^power on |z| < 1, zero outside; C^(power-1) across the
     # support edge.
     core = np.clip(1.0 - z * z, 0.0, None)
-    if power == 2:
-        return core * core
     return core ** power
 
 
 def _bump_prime(z: np.ndarray, power: int = 2) -> np.ndarray:
     core = np.clip(1.0 - z * z, 0.0, None)
-    if power == 2:
-        return -4.0 * z * core
     return -2.0 * power * z * core ** (power - 1)
 
 
@@ -319,11 +315,12 @@ class BumpDensity:
             raise ValueError("bump power must be an integer >= 2")
 
     def value(self, x, v):
+        # + 0.0 makes a negative amplitude's -0.0 off the support +0.0
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         return self.amplitude \
             * _bump((x - self.center_x) / self.width, self.power) \
-            * _bump((v - self.center_v) / self.width, self.power)
+            * _bump((v - self.center_v) / self.width, self.power) + 0.0
 
     def dx(self, x, v):
         x = np.asarray(x, dtype=float)

@@ -163,6 +163,17 @@ def test_transform_levels_refuse_u_minus_one():
             transform(level, grid, -1.0)
 
 
+@pytest.mark.parametrize("u", [-2.0, -3.5])
+def test_transform_below_minus_one_stores_no_negative_zeros(u):
+    # the map negates the density, and a level stores every entry with
+    # nonzero bits: a -0.0 from a +0.0 node would be stored
+    grid = _grid(nx=65, nv=65)
+    f = solve_direct(InitialDataSpec(), grid, 0.25, 1.0 / 32.0).f_levels[-1]
+    new_grid = transform_rectangle(grid, u, (0.0, f.time))
+    out = transform_density_level(f, new_grid, u)
+    assert 0 < out.data.size == np.count_nonzero(out.data)
+
+
 def test_scaling_transform_identity_is_bitwise():
     spec = InitialDataSpec()
     grid = _grid(nx=17, nv=17)

@@ -43,3 +43,20 @@ def test_only_phase_space_reads_the_level_layout():
                     and node.attr in LAYOUT_ATTRIBUTES):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+# Both engines build a density level through one builder: in solver.py,
+# only _traced_level traces nodes and stores a level's block.
+BUILDER_NAMES = {"trace_states", "_from_block"}
+
+
+def test_only_the_level_builder_traces_and_stores_in_solver():
+    path = Path(vlasov_transport.__file__).parent / "solver.py"
+    found = {}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in BUILDER_NAMES:
+                found.setdefault(name, []).append(
+                    getattr(top, "name", f"line {top.lineno}"))
+    assert found == {name: ["_traced_level"] for name in BUILDER_NAMES}

@@ -16,8 +16,9 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           interp_lattice, interp_profile,
                                           sample_initial_data)
 from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
-                                          _NODE_SNAP, _cubic_table, _frame,
-                                          _stencil, _zero_lattice)
+                                          _NODE_SNAP, _bump, _bump_prime,
+                                          _cubic_table, _frame, _stencil,
+                                          _zero_lattice)
 
 from lattices import NONZERO_ENTRY, grids, lattices, same_bits
 
@@ -200,6 +201,30 @@ def test_bump_density_power_raises_smoothness():
     with pytest.raises(ValueError):
         InitialDataSpec(f0_power=0)
     assert InitialDataSpec(f0_power=3).density().power == 3
+
+
+def test_quartic_bump_is_bitwise_the_product_form():
+    # numpy squares core ** 2 and copies core ** 1, so the general power
+    # form is bitwise the quartic's product form
+    z = np.linspace(-1.5, 1.5, 100_001)
+    core = np.clip(1.0 - z * z, 0.0, None)
+    assert same_bits(_bump(z), core * core)
+    assert same_bits(_bump_prime(z), -4.0 * z * core)
+    assert same_bits(np.float64(_bump(0.3)), np.float64(0.91 * 0.91))
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_negative_bump_density_is_positive_zero_off_its_support(power):
+    # a level stores every entry with nonzero bits, -0.0 included
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, 65, 65)
+    x, v = grid.x_nodes[:, None], grid.v_nodes[None, :]
+    values = BumpDensity(-1.0, 0.1, -0.2, 0.7, power).value(x, v)
+    positive = BumpDensity(1.0, 0.1, -0.2, 0.7, power).value(x, v)
+    assert not np.signbit(values[values == 0.0]).any()
+    assert np.array_equal(values != 0.0, positive != 0.0)
+    assert same_bits(values[values != 0.0], -positive[positive != 0.0])
+    level = DensityField(grid, values, 0.0)
+    assert level.data.size == np.count_nonzero(values) > 0
 
 
 def test_field_families():

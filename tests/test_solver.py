@@ -259,6 +259,17 @@ def test_advect_density_active_filter_changes_nothing():
     assert masked.time == 0.25
 
 
+def test_levels_of_negative_data_store_only_nonzero_values():
+    # off the support the data are +0.0, which a level does not store
+    spec = InitialDataSpec(f0_amplitude=-1.0)
+    grid = _grid()
+    histories = [solve_picard(spec, grid, 0.25, 1.0 / 32.0)[0]]
+    histories += [solve_direct(spec, grid, 0.25, 1.0 / 32.0, monotone)
+                  for monotone in (False, True)]
+    for f in (f for h in histories for f in h.f_levels):
+        assert np.count_nonzero(f.data) == f.data.size > 0
+
+
 def test_advect_density_at_time_zero_samples_data():
     spec = InitialDataSpec()
     f0 = spec.density()
