@@ -315,12 +315,13 @@ class BumpDensity:
             raise ValueError("bump power must be an integer >= 2")
 
     def value(self, x, v):
-        # + 0.0 makes a negative amplitude's -0.0 off the support +0.0
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        return self.amplitude \
+        out = self.amplitude \
             * _bump((x - self.center_x) / self.width, self.power) \
-            * _bump((v - self.center_v) / self.width, self.power) + 0.0
+            * _bump((v - self.center_v) / self.width, self.power)
+        out += 0.0    # a negative amplitude's -0.0 off the support is +0.0
+        return out
 
     def dx(self, x, v):
         x = np.asarray(x, dtype=float)

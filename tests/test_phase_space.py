@@ -206,11 +206,10 @@ def test_bump_density_power_raises_smoothness():
 def test_quartic_bump_is_bitwise_the_product_form():
     # numpy squares core ** 2 and copies core ** 1, so the general power
     # form is bitwise the quartic's product form
-    z = np.linspace(-1.5, 1.5, 100_001)
-    core = np.clip(1.0 - z * z, 0.0, None)
-    assert same_bits(_bump(z), core * core)
-    assert same_bits(_bump_prime(z), -4.0 * z * core)
-    assert same_bits(np.float64(_bump(0.3)), np.float64(0.91 * 0.91))
+    for z in (np.linspace(-1.5, 1.5, 100_001), np.asarray(0.3)):
+        core = np.clip(1.0 - z * z, 0.0, None)
+        assert same_bits(_bump(z), core * core)
+        assert same_bits(_bump_prime(z), -4.0 * z * core)
 
 
 @pytest.mark.parametrize("power", [2, 3])
