@@ -193,7 +193,6 @@ def _support_mask(grid: PhaseGrid, box, t: float, lo: float, hi: float):
                      v_hi + reach_hi + pad_v)
     if band is None:
         return None
-    # The x-window is only worked out on the v-band.
     reach_lo, reach_hi = reach(0.5 * t * t)
     pad_x = _ROUNDING_SLACK * grid.dx
     foot = grid.x_nodes[:, None] - t * grid.v_nodes[None, band]
@@ -222,7 +221,10 @@ def _traced_level(grid: PhaseGrid, selection, t: float, s_end: float,
         xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
         vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
         block, origin = np.zeros(mask.shape), (rs.start, cs.start)
-        block[mask] = read(*trace_states(xg, vg, t, s_end, field, substeps))
+        # The feet stay bound until the level is stored: freed sooner, malloc
+        # returns pages that the next direct step faults in again.
+        x0, v0 = trace_states(xg, vg, t, s_end, field, substeps)
+        block[mask] = read(x0, v0)
     return DensityField._from_block(grid, block, origin, t)
 
 
