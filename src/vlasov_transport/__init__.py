@@ -17,9 +17,7 @@ the field, and a scalar blow-up majorant.
 from .phase_space import (PhaseGrid, DensityField, TransportField,
                           InitialDataSpec, DomainExitError, build_phase_grid,
                           sample_initial_data)
-from .characteristics import (CharacteristicBundle, AnalyticFieldHistory,
-                              LatticeFieldHistory, trace_backward,
-                              constant_field_oracle)
+from .characteristics import LatticeFieldHistory
 from .field_solve import (MomentProfile, density_moment, field_from_history,
                           advance_field, conservative_data_constant)
 from .solver import (SolutionHistory, PicardTrace, MajorantResult,
@@ -38,8 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PhaseGrid", "DensityField", "TransportField", "InitialDataSpec",
     "DomainExitError", "build_phase_grid", "sample_initial_data",
-    "CharacteristicBundle", "AnalyticFieldHistory", "LatticeFieldHistory",
-    "trace_backward", "constant_field_oracle", "MomentProfile",
+    "LatticeFieldHistory", "MomentProfile",
     "density_moment", "field_from_history", "advance_field",
     "conservative_data_constant", "SolutionHistory",
     "PicardTrace", "MajorantResult", "advect_density", "solve_picard",

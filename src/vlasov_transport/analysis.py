@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characteristics import trace_backward_sampled
+from .characteristics import trace_states
 from .field_solve import density_moment, trapezoid_uniform
 from .phase_space import (DensityField, PhaseGrid, TransportField, _frame,
                           interp_lattice, interp_profile)
@@ -187,9 +187,10 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     rs, cs, mask = selection
     xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
     vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
-    sample_times = dt * np.arange(m, -1, -1)
-    xs, vs = trace_backward_sampled(xg, vg, t, sample_times, hist)
-    xs, vs = xs[::-1], vs[::-1]      # ascending level order 0..m
+    path = [(xg, vg)]      # the path points at levels m, m - 1, ..., 0
+    for k in range(m, 0, -1):
+        path.append(trace_states(*path[-1], dt * k, dt * (k - 1), hist, 1))
+    xs, vs = zip(*path[::-1])      # ascending level order 0..m
 
     gx = np.empty((m + 1, xg.size))
     gv = np.empty((m + 1, xg.size))

@@ -7,70 +7,22 @@ A phase-space trajectory through (x, v) at time t solves
 integrated backward to s = 0 with classical RK4 in uniform substeps.  The
 density at (t, x, v) is then the initial density evaluated at the foot
 point (X(0), V(0)).  The force field along the way comes from a field
-history: either a closed-form function of (s, x) or a stack of lattice
-profiles at uniform time levels, interpolated linearly in time and
-cubically in space.  Tracing is data parallel: bundles of trajectories are
-advanced as whole arrays, one RK4 update per substep, with no interaction
-between trajectories.
+history: a stack of lattice profiles at uniform time levels, interpolated
+linearly in time and cubically in space.  Tracing is data parallel:
+bundles of trajectories are advanced as whole arrays, one RK4 update per
+substep, with no interaction between trajectories.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .phase_space import (DomainExitError, PhaseGrid, _cubic_table,
                           interp_profile)
 
-__all__ = [
-    "CharacteristicBundle",
-    "AnalyticFieldHistory",
-    "LatticeFieldHistory",
-    "trace_states",
-    "trace_backward",
-    "trace_backward_sampled",
-    "constant_field_oracle",
-]
+__all__ = ["LatticeFieldHistory", "trace_states"]
 
 _TIME_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class CharacteristicBundle:
-    """Foot points at s = 0 for every grid node at departure time t."""
-
-    grid: PhaseGrid
-    t: float
-    x0: np.ndarray
-    v0: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.nx, self.grid.nv)
-        if self.x0.shape != shape or self.v0.shape != shape:
-            raise ValueError("bundle arrays must have shape (nx, nv)")
-
-
-class AnalyticFieldHistory:
-    """Field history from a closed-form B(s, x), defined on all of R."""
-
-    def __init__(self, fn: Callable, sup_bound: float):
-        self._fn = fn
-        self._sup = sup_bound
-
-    @classmethod
-    def constant(cls, b: float) -> "AnalyticFieldHistory":
-        value = float(b)
-        return cls(lambda s, x: np.full(np.shape(np.asarray(x, float)), value),
-                   sup_bound=abs(value))
-
-    def eval(self, s: float, x):
-        return np.asarray(self._fn(s, np.asarray(x, dtype=float)), dtype=float)
-
-    def range_bound(self):
-        """(lo, hi) bounding every value eval returns: +-sup_bound."""
-        return -self._sup, self._sup
 
 
 class LatticeFieldHistory:
@@ -180,7 +132,10 @@ def _rk4_step(x, v, s, ds, field):
 
 
 def trace_states(x, v, t: float, s_end: float, field, substeps: int):
-    """Integrate arrays of states from time t to s_end in uniform substeps."""
+    """Integrate arrays of states from time t to s_end in uniform substeps.
+
+    Returns new arrays: with t == s_end, copies of x and v.
+    """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     x = np.array(x, dtype=float, copy=True)
@@ -193,52 +148,3 @@ def trace_states(x, v, t: float, s_end: float, field, substeps: int):
         x, v = _rk4_step(x, v, s, ds, field)
         s = t + (k + 1) * ds
     return x, v
-
-
-def trace_backward(grid: PhaseGrid, field, t: float,
-                   substeps: int) -> CharacteristicBundle:
-    """Foot points at s = 0 of the trajectories through every grid node."""
-    if t < 0:
-        raise ValueError("departure time must be nonnegative")
-    xg = np.broadcast_to(grid.x_nodes[:, None], (grid.nx, grid.nv))
-    vg = np.broadcast_to(grid.v_nodes[None, :], (grid.nx, grid.nv))
-    if t == 0:
-        return CharacteristicBundle(grid, 0.0, xg.copy(), vg.copy())
-    x0, v0 = trace_states(xg, vg, t, 0.0, field, substeps)
-    return CharacteristicBundle(grid, t, x0, v0)
-
-
-def trace_backward_sampled(x, v, t: float, sample_times: Sequence[float],
-                           field):
-    """Backward trace with states recorded at given descending times.
-
-    sample_times must start at t and decrease; one RK4 step spans each
-    interval between them.  Returns two arrays with a leading axis over
-    sample times.  Used for path integrals along the characteristics, for
-    instance in derivative representations.
-    """
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0 or abs(times[0] - t) > _TIME_SNAP:
-        raise ValueError("sample times must start at the departure time")
-    if np.any(np.diff(times) >= 0):
-        raise ValueError("sample times must strictly decrease")
-    x = np.array(x, dtype=float, copy=True)
-    v = np.array(v, dtype=float, copy=True)
-    xs = [x.copy()]
-    vs = [v.copy()]
-    for k in range(times.size - 1):
-        x, v = trace_states(x, v, times[k], times[k + 1], field, 1)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return np.stack(xs), np.stack(vs)
-
-
-def constant_field_oracle(x, v, t: float, s: float, b: float):
-    """Closed-form trajectory for a constant field B = b:
-
-        X(s) = x + v (s - t) + b (s - t)^2 / 2,   V(s) = v + b (s - t).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = s - t
-    return x + v * h + 0.5 * b * h * h, v + b * h

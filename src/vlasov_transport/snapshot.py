@@ -53,11 +53,11 @@ def read_snapshot(path):
         if magic != MAGIC:
             raise ValueError(f"{path}: bad snapshot magic {magic!r}")
         count = nx * nv if nv else nx
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError(f"{path}: truncated snapshot payload")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
+        payload = fh.read()    # not a buffer sized by a header that can lie
+    if len(payload) < 8 * count:
+        raise ValueError(f"{path}: truncated snapshot payload")
+    if len(payload) > 8 * count:
+        raise ValueError(f"{path}: trailing bytes after payload")
     values = np.frombuffer(payload, dtype="<f8").astype(float)
     if nv:
         values = values.reshape(nx, nv)

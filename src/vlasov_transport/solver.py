@@ -24,14 +24,16 @@ on a shared grid and uniform time levels:
 Both engines build a density level the same way (_traced_level): pick
 nodes, trace them back with trace_states, read a value at their feet
 and store the block round them.  Each engine owns only its selection
-and its read.  Outside the selection the density is exactly zero: a
-trajectory whose velocity stays too far from the support velocity band,
-or whose position cannot reach the support spatially in the time
-available, cannot carry mass.  Picard bounds the reach by a signed range
-that every value of the interpolated field history lies in
-(LatticeFieldHistory.range_bound) and reads f0.  Direct grows its
-support box by the field's largest node value per step, keeps the box's
-nodes whose stencil can read a nonzero, and interpolates the lattice.
+and its read.  Picard's level 0 goes through the builder too: traced
+from t = 0 to 0, its nodes are their own feet.  Outside the selection
+the density is exactly zero: a trajectory whose velocity stays too far
+from the support velocity band, or whose position cannot reach the
+support spatially in the time available, cannot carry mass.  Picard
+bounds the reach by a signed range that every value of the interpolated
+field history lies in (LatticeFieldHistory.range_bound) and reads f0.
+Direct grows its support box by the field's largest node value per step,
+keeps the box's nodes whose stencil can read a nonzero, and interpolates
+the lattice.
 
 A level is stored as a DensityField, which keeps only its nonzero
 entries, so a sheared support costs its entries, not its box; this
@@ -237,11 +239,9 @@ def advect_density(f0, grid: PhaseGrid, field, t: float,
     of the output never exceeds the sup norm of f0.  Only nodes whose foot
     can land in f0's support box are traced (_support_mask, on the
     field's range_bound); every other node, whose foot provably misses
-    the box, and every node of a family without a box, is +0.0.
+    the box, and every node of a family without a box, is +0.0.  At t = 0
+    the kept nodes are their own feet, and the field is never evaluated.
     """
-    if t == 0.0:
-        values = f0.value(grid.x_nodes[:, None], grid.v_nodes[None, :])
-        return DensityField(grid, values, 0.0)
     selection = None
     if f0.support is not None:
         selection = _support_mask(grid, f0.support, t, *field.range_bound())

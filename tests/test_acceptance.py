@@ -17,9 +17,7 @@ from vlasov_transport.analysis import (ScenarioHypothesisError,
                                        derivative_rep_check, holder_quotient,
                                        pde_residual, scaling_transform,
                                        scenario_monotone_check)
-from vlasov_transport.characteristics import (AnalyticFieldHistory,
-                                              constant_field_oracle,
-                                              trace_backward, trace_states)
+from vlasov_transport.characteristics import trace_states
 from vlasov_transport.cli import parse_config, run_scenario
 from vlasov_transport.field_solve import MomentProfile, field_from_history
 from vlasov_transport.phase_space import (BumpField, DensityField,
@@ -28,6 +26,8 @@ from vlasov_transport.phase_space import (BumpField, DensityField,
                                           sample_initial_data)
 from vlasov_transport.solver import (SolutionHistory, majorant_existence_time,
                                      solve_direct, solve_picard)
+
+from oracles import AnalyticFieldHistory, constant_field_oracle
 
 pytestmark = pytest.mark.slow
 
@@ -58,8 +58,13 @@ def _dt(n):
     return _grid(n).dx / 6.0
 
 
-def _verdict(num, label):
-    print(f"[acceptance] criterion {num:02d} ({label}): PASS")
+def _verdict(num, label, margin):
+    """The pass line, with the measured values against their bounds."""
+    print(f"[acceptance] criterion {num:02d} ({label}): PASS; {margin}")
+
+
+def _fmt(values, spec=".3g"):
+    return ", ".join(format(float(v), spec) for v in values)
 
 
 def _cumtrapz(values, dt):
@@ -121,12 +126,12 @@ def test_criterion_01_characteristic_integrator():
     # constant field: the traced foot points against the closed form
     grid = _grid(33)
     field = AnalyticFieldHistory.constant(0.7)
-    bundle = trace_backward(grid, field, 0.5, 8)
     xg = np.broadcast_to(grid.x_nodes[:, None], (grid.nx, grid.nv))
     vg = np.broadcast_to(grid.v_nodes[None, :], (grid.nx, grid.nv))
+    x0, v0 = trace_states(xg, vg, 0.5, 0.0, field, 8)
     ox, ov = constant_field_oracle(xg, vg, 0.5, 0.0, 0.7)
-    err = max(float(np.max(np.abs(bundle.x0 - ox))),
-              float(np.max(np.abs(bundle.v0 - ov))))
+    err = max(float(np.max(np.abs(x0 - ox))),
+              float(np.max(np.abs(v0 - ov))))
     assert err <= 1e-12
 
     # smooth time-varying field: self-convergence over three step halvings
@@ -143,10 +148,13 @@ def test_criterion_01_characteristic_integrator():
                         float(np.max(np.abs(vs - v_ref)))))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(order >= 3.9 for order in orders), orders
-    _verdict(1, "characteristic integrator")
+    _verdict(1, "characteristic integrator",
+             f"foot error {err:.2e} <= 1e-12; orders {_fmt(orders, '.3f')}"
+             " >= 3.9")
 
 
 def test_criterion_02_sup_norm_preservation(t1_runs):
+    maxima = {"picard": [], "direct": []}
     for n in GRIDS:
         sup0 = t1_runs[("picard", n)]["sup0"]
         assert sup0 == 1.0
@@ -154,12 +162,18 @@ def test_criterion_02_sup_norm_preservation(t1_runs):
         assert picard_max <= sup0 + 1e-12
         direct_max = float(t1_runs[("direct", n)]["diag"].density_sup.max())
         assert direct_max <= sup0 * (1.0 + 1e-6)
+        maxima["picard"].append(picard_max)
+        maxima["direct"].append(direct_max)
     # monotone-clipped interpolation keeps the bound exactly
     history = solve_direct(InitialDataSpec(), _grid(DESK), 1.0, _dt(DESK),
                            monotone=True)
     diag = compute_diagnostics(history)
     assert float(diag.density_sup.max()) <= float(diag.density_sup[0])
-    _verdict(2, "sup-norm preservation")
+    _verdict(2, "sup-norm preservation",
+             f"sup f: picard {_fmt(maxima['picard'], '.9g')} <= 1 + 1e-12; "
+             f"direct {_fmt(maxima['direct'], '.9g')} <= 1 + 1e-6; "
+             f"monotone {float(diag.density_sup.max()):.9g}"
+             f" <= {float(diag.density_sup[0]):.9g}")
 
 
 def test_criterion_03_mass_conservation(t1_runs):
@@ -170,12 +184,16 @@ def test_criterion_03_mass_conservation(t1_runs):
             mass0 = float(mass[0])
             drifts[(engine, n)] = float(np.max(np.abs(mass - mass0))) / mass0
     assert drifts[("picard", DESK)] < 1e-4, drifts
+    orders = []
     for engine in ("picard", "direct"):
         series = [drifts[(engine, n)] for n in GRIDS]
         assert series[0] > series[1] > series[2], (engine, series)
         order = np.log2(series[1] / series[2])
         assert order >= 1.9, (engine, series, order)
-    _verdict(3, "mass conservation")
+        orders.append(order)
+    _verdict(3, "mass conservation",
+             f"picard drift at {DESK} {drifts[('picard', DESK)]:.2e} < 1e-4; "
+             f"orders picard, direct {_fmt(orders, '.3f')} >= 1.9")
 
 
 def test_criterion_04_field_representation():
@@ -183,6 +201,7 @@ def test_criterion_04_field_representation():
     # to interpolation error at third order in the spacing
     spec = InitialDataSpec(f0_family="zero", b0_family="gaussian")
     b0 = spec.field()
+    constants = []
     for n in GRIDS:
         grid = _grid(n)
         history = solve_direct(spec, grid, 0.25, _dt(n))
@@ -190,6 +209,7 @@ def test_criterion_04_field_representation():
             float(np.max(np.abs(b.values - b0.value(grid.x_nodes - b.time))))
             for b in history.b_levels)
         assert err <= TRANSPORT_INTERP_CONST * grid.dx ** 3, (n, err)
+        constants.append(err / grid.dx ** 3)
 
     # constant synthetic moment c adds exactly c * t along the rays
     grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, DESK, 9)
@@ -201,9 +221,12 @@ def test_criterion_04_field_representation():
     field = field_from_history(b0.value, moments, t)
     inside = grid.x_nodes >= grid.x_min + t
     expected = b0.value(grid.x_nodes - t) + c * t
-    assert float(np.max(np.abs(field.values[inside] - expected[inside]))) \
-        <= 1e-12
-    _verdict(4, "field representation")
+    moment_err = float(np.max(np.abs(field.values[inside] - expected[inside])))
+    assert moment_err <= 1e-12
+    _verdict(4, "field representation",
+             f"transport error / dx^3 {_fmt(constants)}"
+             f" <= {TRANSPORT_INTERP_CONST}; "
+             f"constant-moment error {moment_err:.2e} <= 1e-12")
 
 
 def test_criterion_05_picard_convergence(half_trace):
@@ -218,7 +241,10 @@ def test_criterion_05_picard_convergence(half_trace):
         # contraction ratios themselves decrease: faster-than-geometric decay
         ratios = diffs[1:] / diffs[:-1]
         assert np.all(ratios[1:] < ratios[:-1]), ratios
-    _verdict(5, "picard convergence")
+    last = (half_trace.field_diffs[-1], half_trace.density_diffs[-1])
+    _verdict(5, "picard convergence",
+             f"{half_trace.iterations} iterations <= 15; "
+             f"last field, density diffs {_fmt(last, '.2e')} < {PICARD_TOL}")
 
 
 def test_criterion_06_cross_engine_uniqueness():
@@ -242,10 +268,14 @@ def test_criterion_06_cross_engine_uniqueness():
         del picard_history, direct_history
     for coarse, fine in zip(constants, constants[1:]):
         assert fine <= CROSS_ENGINE_GROWTH * coarse, constants
-    _verdict(6, "cross-engine agreement")
+    growth = [fine / coarse for coarse, fine in zip(constants, constants[1:])]
+    _verdict(6, "cross-engine agreement",
+             f"constants {_fmt(constants)} <= {CROSS_ENGINE_CONST}; "
+             f"growth {_fmt(growth, '.3f')} <= {CROSS_ENGINE_GROWTH}")
 
 
 def test_criterion_07_support_bound(t1_runs):
+    shares = []
     for (engine, n), run in t1_runs.items():
         diag = run["diag"]
         allowed = float(diag.support_radius[0]) \
@@ -253,7 +283,9 @@ def test_criterion_07_support_bound(t1_runs):
         excess = float(np.max(diag.support_radius - allowed))
         slack = run["dv"] + run["dt"] * float(diag.field_sup.max())
         assert excess <= slack, (engine, n, excess, slack)
-    _verdict(7, "velocity support bound")
+        shares.append(excess / slack)
+    _verdict(7, "velocity support bound",
+             f"worst excess / slack {max(shares):.3f} <= 1")
 
 
 def test_criterion_08_scaling_invariance(quarter_picard):
@@ -267,6 +299,7 @@ def test_criterion_08_scaling_invariance(quarter_picard):
     # rescaled histories stay near-solutions: their residual is bounded by
     # the source residual plus interpolation error, stably under refinement
     source = {n: pde_residual(quarter_picard[n]) for n in (65, 129)}
+    shares = []
     for u in (1.0, -2.0):
         for n in (65, 129):
             dx2 = quarter_picard[n].grid.dx ** 2
@@ -276,7 +309,10 @@ def test_criterion_08_scaling_invariance(quarter_picard):
                 u, n, res_f, src_f)
             assert res_b <= 3.0 * src_b + FRAME_RESIDUAL_CONST * dx2, (
                 u, n, res_b, src_b)
-    _verdict(8, "scaling invariance")
+            shares += [res_f / (3.0 * src_f + FRAME_RESIDUAL_CONST * dx2),
+                       res_b / (3.0 * src_b + FRAME_RESIDUAL_CONST * dx2)]
+    _verdict(8, "scaling invariance",
+             f"worst residual / bound {max(shares):.3f} <= 1")
 
 
 def test_criterion_09_global_existence_scenario():
@@ -302,7 +338,10 @@ def test_criterion_09_global_existence_scenario():
         initial_data=mirrored)
     with pytest.raises(ScenarioHypothesisError):
         scenario_monotone_check(stalled)
-    _verdict(9, "global existence scenario")
+    _verdict(9, "global existence scenario",
+             f"field min {report.field_min:.3g} >= -1e-08; "
+             f"support drop {report.max_support_drop:.4g}"
+             f" <= {report.support_drop_tol:.4g}")
 
 
 def test_criterion_10_holder_proxy(t1_runs):
@@ -310,6 +349,7 @@ def test_criterion_10_holder_proxy(t1_runs):
     # coarser spacing
     dx129 = _grid(129).dx
     offsets = [m * dx129 for m in (1, 2, 4, 8, 16, 32, 64)]
+    changes = []
     for engine in ("picard", "direct"):
         quotients = {}
         for n in (129, 257):
@@ -319,6 +359,7 @@ def test_criterion_10_holder_proxy(t1_runs):
             quotients[n] = float(report.space_quotient.max())
         change = abs(quotients[257] - quotients[129]) / quotients[129]
         assert change < 0.10, (engine, quotients)
+        changes.append(change)
 
     # a Lipschitz analytic field loses its half-order content: the
     # smallest-offset quotient decays like sqrt(dx) under refinement
@@ -333,7 +374,9 @@ def test_criterion_10_holder_proxy(t1_runs):
         smallest.append(float(report.space_quotient[0]))
     assert smallest[0] > smallest[1] > smallest[2], smallest
     assert smallest[2] <= 0.55 * smallest[0], smallest
-    _verdict(10, "holder quotient proxy")
+    _verdict(10, "holder quotient proxy",
+             f"change picard, direct {_fmt(changes, '.2g')} < 0.10; "
+             f"smallest-offset decay {smallest[2] / smallest[0]:.3f} <= 0.55")
 
 
 def test_criterion_11_majorant_ode():
@@ -344,11 +387,13 @@ def test_criterion_11_majorant_ode():
 
     # blowup times against the frozen oracle, strictly decreasing in C
     times = []
+    oracle_errs = []
     for c, expected in sorted(BLOWUP_ORACLE.items()):
         result = majorant_existence_time(c, 1e6, ds=1e-4)
         assert result.blew_up
         assert result.blowup_time == pytest.approx(expected, abs=5e-3)
         times.append(result.blowup_time)
+        oracle_errs.append(abs(result.blowup_time - expected))
     assert all(a > b for a, b in zip(times, times[1:]))
 
     # step-halving self-convergence away from the cap; for C = 1 the
@@ -361,7 +406,9 @@ def test_criterion_11_majorant_ode():
         errs.append(abs(result.values[k] - 2.0))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(order >= 3.9 for order in orders), orders
-    _verdict(11, "majorant ode")
+    _verdict(11, "majorant ode",
+             f"blow-up time error {max(oracle_errs):.2e} <= 5e-3; "
+             f"orders {_fmt(orders, '.3f')} >= 3.9")
 
 
 def test_criterion_12_derivative_representations():
@@ -375,10 +422,12 @@ def test_criterion_12_derivative_representations():
         assert trace.converged
         coupled[n] = derivative_rep_check(history, 0.25)
         del history
+    coupled_orders = []
     for component in (0, 1):
         series = [coupled[n][component] for n in GRIDS]
         orders = [np.log2(a / b) for a, b in zip(series, series[1:])]
         assert all(order >= 1.9 for order in orders), (component, series)
+        coupled_orders += orders
 
     # free streaming: the path integrand is constant in time, so the
     # representation reduces to its closed form; exactly sampled lattices
@@ -386,6 +435,7 @@ def test_criterion_12_derivative_representations():
     spec = InitialDataSpec(f0_power=4, b0_family="zero")
     family = spec.density()
     free = {}
+    envelope = []
     for n in GRIDS:
         grid = _grid(n)
         dt = _dt(n)
@@ -403,11 +453,18 @@ def test_criterion_12_derivative_representations():
         free[n] = derivative_rep_check(history, 0.25)
         for residual in free[n]:
             assert residual <= REP_ENVELOPE_CONST * grid.dx ** 2, (n, free[n])
+            envelope.append(residual / grid.dx ** 2)
+    free_orders = []
     for component in (0, 1):
         series = [free[n][component] for n in GRIDS]
         orders = [np.log2(a / b) for a, b in zip(series, series[1:])]
         assert all(order >= 1.9 for order in orders), (component, series)
-    _verdict(12, "derivative representations")
+        free_orders += orders
+    _verdict(12, "derivative representations",
+             f"coupled orders dv f, dx f {_fmt(coupled_orders, '.3f')} >= 1.9;"
+             f" free residual / dx^2 {max(envelope):.3g}"
+             f" <= {REP_ENVELOPE_CONST}; "
+             f"free orders {_fmt(free_orders, '.3f')} >= 1.9")
 
 
 def test_criterion_13_determinism(tmp_path):
@@ -428,4 +485,5 @@ def test_criterion_13_determinism(tmp_path):
         a = (tmp_path / "first" / name).read_bytes()
         b = (tmp_path / "second" / name).read_bytes()
         assert a == b, name
-    _verdict(13, "determinism")
+    _verdict(13, "determinism", f"{len(names)} of {len(names)} files"
+             " byte-identical")

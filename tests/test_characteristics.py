@@ -5,14 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vlasov_transport.characteristics import (AnalyticFieldHistory,
-                                              LatticeFieldHistory,
-                                              constant_field_oracle,
-                                              trace_backward,
-                                              trace_backward_sampled,
-                                              trace_states)
+from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
 from vlasov_transport.phase_space import (DomainExitError, build_phase_grid,
                                           interp_profile)
+
+from oracles import AnalyticFieldHistory, constant_field_oracle
 
 
 def test_constant_field_single_step():
@@ -30,25 +27,32 @@ def test_constant_field_oracle_formula():
     assert v == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_trace_backward_matches_constant_field_oracle():
+def _node_grid(grid):
+    return (np.broadcast_to(grid.x_nodes[:, None], (grid.nx, grid.nv)),
+            np.broadcast_to(grid.v_nodes[None, :], (grid.nx, grid.nv)))
+
+
+def test_trace_states_matches_constant_field_oracle():
     grid = build_phase_grid(-2.0, 2.0, -1.0, 1.0, 17, 17)
     b = 0.35
     field = AnalyticFieldHistory.constant(b)
-    bundle = trace_backward(grid, field, 0.8, substeps=4)
-    xg = grid.x_nodes[:, None]
-    vg = grid.v_nodes[None, :]
-    x0, v0 = constant_field_oracle(xg, vg, 0.8, 0.0, b)
-    assert np.max(np.abs(bundle.x0 - x0)) <= 1e-12
-    assert np.max(np.abs(bundle.v0 - v0)) <= 1e-12
+    xg, vg = _node_grid(grid)
+    x0, v0 = trace_states(xg, vg, 0.8, 0.0, field, 4)
+    ox, ov = constant_field_oracle(xg, vg, 0.8, 0.0, b)
+    assert np.max(np.abs(x0 - ox)) <= 1e-12
+    assert np.max(np.abs(v0 - ov)) <= 1e-12
 
 
-def test_trace_backward_at_time_zero_is_identity():
+def test_trace_states_to_its_own_time_returns_copies():
+    # Picard's level 0 is traced from t = 0 to 0: its nodes are their own
+    # feet, in new arrays, and no field is read
     grid = build_phase_grid(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    bundle = trace_backward(grid, AnalyticFieldHistory.constant(1.0), 0.0, 1)
-    assert np.array_equal(bundle.x0, np.broadcast_to(grid.x_nodes[:, None],
-                                                     (9, 9)))
-    assert np.array_equal(bundle.v0, np.broadcast_to(grid.v_nodes[None, :],
-                                                     (9, 9)))
+    xg, vg = _node_grid(grid)
+    field = AnalyticFieldHistory(lambda s, x: pytest.fail("field read"), 0.0)
+    x0, v0 = trace_states(xg, vg, 0.0, 0.0, field, 1)
+    assert np.array_equal(x0, xg) and np.array_equal(v0, vg)
+    assert not np.shares_memory(x0, xg) and not np.shares_memory(v0, vg)
+    assert x0.flags.writeable and v0.flags.writeable
 
 
 def _smooth_field():
@@ -281,31 +285,15 @@ def test_lattice_history_shape_validation():
         LatticeFieldHistory(grid, np.zeros((0, 9)), 0.1)
 
 
-def test_trace_backward_sampled_matches_plain_trace():
+def test_one_interval_at_a_time_is_bitwise_the_whole_trace():
+    # derivative_rep_check steps the path back one interval at a time and
+    # keeps each state: every state is the k-step trace, bitwise
     field = _smooth_field()
     x = np.array([0.1, -0.6])
     v = np.array([0.4, 0.2])
-    times = np.array([0.75, 0.5, 0.25, 0.0])
-    xs, vs = trace_backward_sampled(x, v, 0.75, times, field)
-    assert xs.shape == (4, 2)
-    np.testing.assert_array_equal(xs[0], x)
-    # each recorded row equals the equivalent uniform trace, bitwise
-    for k, t_k in enumerate(times[1:], start=1):
-        xk, vk = trace_states(x, v, 0.75, t_k, field, k)
-        assert np.array_equal(xs[k], xk) and np.array_equal(vs[k], vk)
-
-
-def test_trace_backward_sampled_validation():
-    field = AnalyticFieldHistory.constant(0.0)
-    with pytest.raises(ValueError):
-        trace_backward_sampled(np.zeros(1), np.zeros(1), 1.0,
-                               [0.5, 0.0], field)
-    with pytest.raises(ValueError):
-        trace_backward_sampled(np.zeros(1), np.zeros(1), 1.0,
-                               [1.0, 0.5, 0.5], field)
-
-
-def test_trace_backward_rejects_negative_time():
-    grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 4, 4)
-    with pytest.raises(ValueError):
-        trace_backward(grid, AnalyticFieldHistory.constant(0.0), -0.5, 1)
+    xk, vk = x, v
+    for k in range(1, 4):
+        xk, vk = trace_states(xk, vk, 0.25 * (4 - k), 0.25 * (3 - k),
+                              field, 1)
+        xw, vw = trace_states(x, v, 0.75, 0.25 * (3 - k), field, k)
+        assert np.array_equal(xk, xw) and np.array_equal(vk, vw)

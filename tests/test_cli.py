@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vlasov_transport import cli
 from vlasov_transport.cli import (_KEYS, ConfigError, RunConfig, load_config,
                                   main, parse_config, run_scenario)
-from vlasov_transport.snapshot import read_snapshot, write_snapshot
+from vlasov_transport.snapshot import MAGIC, read_snapshot, write_snapshot
 
 TINY_BOTH = """
 nx = 33
@@ -554,3 +555,14 @@ def test_main_diff(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.25"
     assert main(["diff", str(a), str(c)]) == 2
     assert "shapes differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diff", "transform"])
+def test_main_rejects_an_oversized_snapshot_header(tmp_path, capsys, command):
+    # a 32-byte file whose header claims (2^32 - 1)^2 values is bad input
+    bad = tmp_path / "bad.snap"
+    bad.write_bytes(MAGIC + struct.pack("<IId", 2 ** 32 - 1, 2 ** 32 - 1, 0.0))
+    args = {"diff": [str(bad), str(bad)],
+            "transform": ["--u", "1", str(bad), str(tmp_path / "out.snap")]}
+    assert main([command, *args[command]]) == 2
+    assert "truncated snapshot payload" in capsys.readouterr().err

@@ -60,3 +60,30 @@ def test_only_the_level_builder_traces_and_stores_in_solver():
                 found.setdefault(name, []).append(
                     getattr(top, "name", f"line {top.lineno}"))
     assert found == {name: ["_traced_level"] for name in BUILDER_NAMES}
+
+
+# Every characteristic goes through one tracer: only trace_states takes
+# an RK4 step, and the package reaches characteristics through that
+# tracer and the field history alone.
+TRACER_EXPORTS = ["LatticeFieldHistory", "trace_states"]
+
+
+def test_every_characteristic_goes_through_trace_states():
+    package = Path(vlasov_transport.__file__).parent
+    steppers, imported = [], set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_rk4_step" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    steppers.append(
+                        f"{path.name}:{getattr(top, 'name', top.lineno)}")
+                if (isinstance(node, ast.ImportFrom)
+                        and node.module == "characteristics"):
+                    imported.update(alias.name for alias in node.names)
+    assert steppers == ["characteristics.py:trace_states"]
+    assert sorted(imported - set(TRACER_EXPORTS)) == []
+    characteristics = importlib.import_module(
+        "vlasov_transport.characteristics")
+    assert characteristics.__all__ == TRACER_EXPORTS

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,14 @@ def test_read_rejects_corrupt_files(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_snapshot(trailing)
+
+    # a header that claims more than the file holds, up to a count whose
+    # byte size overflows an index, is read as a short payload
+    for n in (2 ** 32 - 1, 2 ** 20):
+        oversized = tmp_path / f"oversized_{n}.snap"
+        oversized.write_bytes(MAGIC + struct.pack("<IId", n, n, 0.5))
+        with pytest.raises(ValueError, match="payload"):
+            read_snapshot(oversized)
 
 
 # any float64, specials included: -0.0, NaN payloads and infinities

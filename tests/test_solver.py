@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import vlasov_transport
 from vlasov_transport import solver
-from vlasov_transport.characteristics import (AnalyticFieldHistory,
-                                              LatticeFieldHistory,
-                                              trace_states)
+from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
 from vlasov_transport.phase_space import (DensityField, DomainExitError,
                                           InitialDataSpec, build_phase_grid,
                                           interp_lattice, sample_initial_data)
@@ -22,6 +20,7 @@ from vlasov_transport.solver import (_advect_lattice_step, _grow_box,
                                      _sup_distance, _support_mask)
 
 from lattices import grids, lattices, same_bits
+from oracles import AnalyticFieldHistory
 
 # Cap-crossing times of F' = C (1 + t F)^2, F(0) = C at cap 1e6, from an
 # independent fixed-step integration at ds = 1e-5 (step-halving deltas
