@@ -21,7 +21,7 @@ import numpy as np
 from .characteristics import trace_states
 from .field_solve import density_moment, trapezoid_uniform
 from .phase_space import (DensityField, PhaseGrid, TransportField, _frame,
-                          interp_lattice, interp_profile)
+                          interp_lattice, interp_profile, place_window)
 from .solver import SolutionHistory, MajorantResult, _support_mask
 
 __all__ = [
@@ -130,21 +130,25 @@ def compute_diagnostics(solution: SolutionHistory) -> DiagnosticsTrace:
     for k in range(n):
         f = solution.f_levels[k]
         b = solution.b_levels[k]
-        values = f.values
         out["density_sup"][k] = f.sup_norm()
         out["field_sup"][k] = b.sup_norm()
         out["field_min"][k] = float(b.values.min())
         out["field_max"][k] = float(b.values.max())
-        out["mass"][k] = float(trapezoid_uniform(
-            trapezoid_uniform(values, grid.dv, axis=1), grid.dx, axis=0))
+        out["mass"][k] = float(trapezoid_uniform(density_moment(f).values,
+                                                 grid.dx))
         occupied = _occupied_velocities(f, thr)
         running = max(running, _radius(occupied))
         out["support_radius"][k] = running
         out["support_inf"][k] = _lowest(occupied)
-        out["dxf_sup"][k] = float(np.max(np.abs(
-            np.gradient(values, grid.dx, axis=0, edge_order=2))))
-        out["dvf_sup"][k] = float(np.max(np.abs(
-            np.gradient(values, grid.dv, axis=1, edge_order=2))))
+        # np.gradient's one-sided edge formula reads three nodes: past three
+        # zero nodes round the block it reads zeros, as over the lattice.
+        window = place_window((f,), 3)
+        if window is not None:
+            (values,), _ = window
+            out["dxf_sup"][k] = float(np.max(np.abs(
+                np.gradient(values, grid.dx, axis=0, edge_order=2))))
+            out["dvf_sup"][k] = float(np.max(np.abs(
+                np.gradient(values, grid.dv, axis=1, edge_order=2))))
         out["dxb_sup"][k] = float(np.max(np.abs(
             np.gradient(b.values, grid.dx, edge_order=2))))
     return DiagnosticsTrace(times=solution.times, **out)
@@ -314,22 +318,24 @@ def pde_residual(solution: SolutionHistory):
     b = np.stack([lv.values for lv in solution.b_levels])
     rho = np.stack([density_moment(lv).values for lv in solution.f_levels])
 
-    # Level by level, with a window of three full lattices, so no
-    # temporary spans all levels of the lattice.
-    v_inner = grid.v_nodes[None, 1:-1]
+    # Over the blocks of levels k - 1..k + 1 widened by a node, whose
+    # interior holds level k's interior block nodes and their neighbours.
     level_res = []
-    before, here = (lv.values for lv in solution.f_levels[:2])
     for k in range(1, solution.n_levels - 1):
-        after = solution.f_levels[k + 1].values
+        window = place_window(solution.f_levels[k - 1:k + 2], 1)
+        if window is None:
+            continue
+        (before, here, after), (i, j) = window
+        rows = slice(i + 1, i + here.shape[0] - 1)
+        v_inner = grid.v_nodes[None, j + 1:j + here.shape[1] - 1]
         interior = here[1:-1, 1:-1]
         dtf = (after[1:-1, 1:-1] - before[1:-1, 1:-1]) / (2.0 * dt)
         dxf = (here[2:, 1:-1] - here[:-2, 1:-1]) / (2.0 * grid.dx)
         dvf = (here[1:-1, 2:] - here[1:-1, :-2]) / (2.0 * grid.dv)
-        res_f = dtf + v_inner * dxf + b[k, 1:-1, None] * dvf
+        res_f = dtf + v_inner * dxf + b[k, rows, None] * dvf
         carrying = np.abs(interior) > _DENSITY_FLOOR
         if carrying.any():
             level_res.append(np.max(np.abs(res_f[carrying])))
-        before, here = here, after
     density_res = float(np.max(level_res)) if level_res else 0.0
 
     dtb = (b[2:, 1:-1] - b[:-2, 1:-1]) / (2.0 * dt)

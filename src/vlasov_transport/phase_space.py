@@ -31,17 +31,16 @@ A DensityField stores the origin and shape of the bounding block of its
 nonzero bits, the block's nonzero-bit entries in C order, and a packed
 bit mask of where they sit: 8 bytes per stored entry and one bit per
 block entry.  Every other entry is +0.0.  The layout is private to
-DensityField: other modules read a level through values, place, slices
-and reductions on data.  values builds the full lattice on each access,
-on _zero_lattice, where only the rows written occupy memory, so a full
-view is resident only on the rows that hold an entry and hands its
-pages back to the system once dropped.
+DensityField: other modules read a level through place_window, values,
+place, slices and reductions on data.  place_window places one or more
+levels into zeros over the union of their blocks, widened by a pad, so
+a reader holds only the window it reads; values builds the full lattice
+anew on each access.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -61,6 +60,7 @@ __all__ = [
     "ZeroField",
     "build_phase_grid",
     "sample_initial_data",
+    "place_window",
     "interp_profile",
     "interp_lattice",
 ]
@@ -131,21 +131,6 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_lattice(shape) -> np.ndarray:
-    """A writable C-contiguous float64 array of zeros, resident on write.
-
-    The array views a private anonymous mapping of its own: the kernel
-    supplies its pages zeroed on first write, pages never written stay
-    out of memory, and the mapping is unmapped once the last array over
-    it is dropped.  np.zeros cannot promise this: once glibc has raised
-    its mmap threshold past the lattice size, it zero-fills heap memory,
-    which makes every page resident.
-    """
-    count = math.prod(shape)
-    buffer = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
-
-
 def _bounding_slices(mask: np.ndarray):
     """Row and column slices of the bounding box of mask's True entries,
     or None if it has none."""
@@ -169,7 +154,7 @@ class DensityField:
     block entry is +0.0.  A level with no nonzero bits stores an empty
     block.  DensityField(grid, values, time) crops a full lattice.  Only
     this class reads mask: place writes the stored entries into an
-    array, and values builds the full lattice from them (see there).
+    array, and place_window and values build windows from them.
     """
 
     grid: PhaseGrid
@@ -238,19 +223,33 @@ class DensityField:
     def values(self) -> np.ndarray:
         """The full lattice, read-only and built anew on each access.
 
-        Every access maps and fills a new lattice; nothing is cached.  It
-        is built on _zero_lattice, so only the rows that hold an entry of
-        data become resident, but each one held adds those rows to the
-        stored entries: a caller that keeps the values of many levels
-        holds far more than the levels themselves.  Read data, or place
-        the level into a window, where that allows it.
+        Nothing is cached: a caller that keeps the values of many levels
+        holds a full lattice for each.  Read data, or place the level into
+        a window (place_window), where that allows it.
         """
-        out = self.place(_zero_lattice((self.grid.nx, self.grid.nv)))
+        out = self.place(np.zeros((self.grid.nx, self.grid.nv)))
         out.setflags(write=False)
         return out
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+
+
+def place_window(levels, pad: int = 0):
+    """(arrays, at): the levels placed into zeros over the union of their
+    blocks, widened by pad nodes and clipped to the lattice, and the
+    lattice index of that window's first node; None if no level has an
+    entry.  Each array is bitwise its level's lattice over the window.
+    """
+    spans = [f.slices for f in levels if f.data.size]
+    if not spans:
+        return None
+    grid = levels[0].grid
+    at = (max(min(rs.start for rs, _ in spans) - pad, 0),
+          max(min(cs.start for _, cs in spans) - pad, 0))
+    shape = (min(max(rs.stop for rs, _ in spans) + pad, grid.nx) - at[0],
+             min(max(cs.stop for _, cs in spans) + pad, grid.nv) - at[1])
+    return [f.place(np.zeros(shape), at) for f in levels], at
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,18 @@ support spatially in the time available, cannot carry mass.  Picard
 bounds the reach by a signed range that every value of the interpolated
 field history lies in (LatticeFieldHistory.range_bound) and reads f0.
 Direct grows its support box by the field's largest node value per step,
-keeps the box's nodes whose stencil can read a nonzero, and interpolates
-the lattice.
+keeps the box's nodes whose stencil can read a nonzero under the step
+field's signed range, and interpolates the lattice.
 
 A level is stored as a DensityField, which keeps only its nonzero
 entries, so a sheared support costs its entries, not its box; this
-module reads a level through values, place, slices and reductions on
-data.  Neither engine builds a full lattice of a stored level: Direct
+module reads a level through place_window, place, slices and reductions
+on data.  Neither engine builds a full lattice of a stored level: Direct
 keeps the previous level in one scratch lattice that each step clears
 block by block and refills by placing the new level, and Picard places
 each new level and the previous iterate's into zeros over the union of
-their blocks, compares them and drops the old one, so one iterate and
-one level are alive at a time.
+their blocks (place_window), compares them and drops the old one, so
+one iterate and one level are alive at a time.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -67,7 +67,7 @@ from .field_solve import (MomentProfile, _field_shift, _finish_field,
                           density_moment, field_from_history)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
                           TransportField, _bounding_slices, interp_lattice,
-                          sample_initial_data)
+                          place_window, sample_initial_data)
 
 __all__ = [
     "SolutionHistory",
@@ -254,14 +254,11 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
     Both levels are +0.0 off their stored entries, so the number is the
     same, NaN included: subtracting +0.0 changes no bits.
     """
-    spans = [f.slices for f in (a, b) if f.data.size]
-    if not spans:
+    window = place_window((a, b))
+    if window is None:
         return 0.0
-    at = (min(rs.start for rs, _ in spans), min(cs.start for _, cs in spans))
-    shape = (max(rs.stop for rs, _ in spans) - at[0],
-             max(cs.stop for _, cs in spans) - at[1])
-    diff = a.place(np.zeros(shape), at)
-    diff -= b.place(np.zeros(shape), at)
+    (diff, other), _ = window
+    diff -= other
     return float(np.max(np.abs(diff, out=diff)))
 
 
@@ -379,7 +376,7 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     box = spec.density().support
     # f_k as a full lattice, for the step to read: one scratch lattice,
     # which each step rewrites to hold the next level.
-    lattice = np.array(f_k.values)
+    lattice = f_k.place(np.zeros((grid.nx, grid.nv)))
     for k in range(n_levels - 1):
         t = k * dt
 
@@ -416,12 +413,6 @@ def _grow_box(box, dt: float, b_max: float):
     return (x_lo + dt * v_lo - slop, x_hi + dt * v_hi + slop), (v_lo, v_hi)
 
 
-# The 4-point Lagrange weights' absolute values sum to at most 1.6312 (in
-# an edge cell; 1.25 inside), so a cubic profile is bounded by that times
-# its largest node value.  2 bounds it with room for rounding.
-_LEBESGUE_BOUND = 2.0
-
-
 def _read_offsets(lo, hi, n: int, below: int, above: int):
     """Offsets from its node of the first and last node a query reads.
 
@@ -442,31 +433,31 @@ def _clamp(first, last, n: int, span: int):
 
 
 def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
-                dt: float, b_max: float, monotone: bool):
+                dt: float, lo: float, hi: float, monotone: bool):
     """Selection of the nodes of the block (rs, cs) whose step can read a
     nonzero of f_prev: (rs, cs, mask), or None if there are none.
 
-    One RK4 step of size dt under a field whose node values are bounded
-    by b_max moves the foot of node (x, v) at most dt^2 L b_max / 2 from
-    x - dt v and at most dt L b_max from v, with L = _LEBESGUE_BOUND.  A
-    foot reads its 4x4 stencil, or in a monotone step is clipped to its
-    cell's 2x2 corners.  Node (i, j) sits at coordinates (i, j), so its
-    column window is j plus a fixed offset and its row window i plus an
-    offset of its column's.  The window counts are differences of prefix
-    sums over the rows and columns the block can reach: one count per
-    row and column window, then one per node and row window.
+    lo <= B <= hi wherever the step reads the field, so one backward RK4
+    step of size dt puts the foot of node (x, v) in v - dt [lo, hi] and
+    x - dt v + (dt^2 / 2) [lo, hi] (_support_mask).  A foot reads its 4x4
+    stencil, or in a monotone step is clipped to its cell's 2x2 corners.
+    Node (i, j) sits at coordinates (i, j), so its column window is j
+    plus a fixed offset and its row window i plus an offset of its
+    column's.  The window counts are differences of prefix sums over the
+    rows and columns the block can reach: one count per row and column
+    window, then one per node and row window.
     """
-    reach = _LEBESGUE_BOUND * b_max
     below, above = (0, 1) if monotone else (1, 2)
     span = below + above
     rows = np.arange(rs.start, rs.stop)
     cols = np.arange(cs.start, cs.stop)
-    ev = dt * reach / grid.dv
-    c_lo, c_hi = _read_offsets(-ev, ev, grid.nv, below, above)
+    c_lo, c_hi = _read_offsets(-dt * hi / grid.dv, -dt * lo / grid.dv,
+                               grid.nv, below, above)
     c_lo, c_hi = _clamp(cols + c_lo, cols + c_hi, grid.nv, span)
     drift = -dt * grid.v_nodes[cs] / grid.dx
-    ex = 0.5 * dt * dt * reach / grid.dx
-    o_lo, o_hi = _read_offsets(drift - ex, drift + ex, grid.nx, below, above)
+    ex = 0.5 * dt * dt / grid.dx
+    o_lo, o_hi = _read_offsets(drift + ex * lo, drift + ex * hi, grid.nx,
+                               below, above)
     r0, r1 = _clamp(rows[0] + o_lo.min(), rows[-1] + o_hi.max(), grid.nx,
                     span)
     c0 = c_lo[0]
@@ -508,15 +499,15 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
     the whole box gives.
     """
     grid = f_k.grid
-    b_max = step_hist.sup_bound()
-    new_box = None if box is None else _grow_box(box, dt, b_max)
+    new_box = None if box is None else _grow_box(box, dt,
+                                                 step_hist.sup_bound())
     selection = None
     if new_box is not None:
         rs = _node_run(grid.x_nodes, *new_box[0])
         cs = _node_run(grid.v_nodes, *new_box[1])
         if rs is not None and cs is not None:
-            selection = _live_nodes(lattice, grid, rs, cs, dt, b_max,
-                                    monotone)
+            selection = _live_nodes(lattice, grid, rs, cs, dt,
+                                    *step_hist.range_bound(), monotone)
     read = functools.partial(interp_lattice, grid, lattice, monotone=monotone)
     f_next = _traced_level(grid, selection, f_k.time + dt, f_k.time,
                            step_hist, 1, read)

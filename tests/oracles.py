@@ -1,13 +1,21 @@
-"""Closed-form references for the characteristic tracer.
+"""References that the tests check the package against.
 
 AnalyticFieldHistory is a field history from a formula B(s, x), and
-constant_field_oracle the exact trajectory under a constant field.  The
-tracer is checked against both; no program path uses them.
+constant_field_oracle the exact trajectory under a constant field; the
+tracer is checked against both.  full_lattice_diagnostics and
+full_lattice_pde_residual read every density level as its full lattice,
+and the windowed diagnostics must match them bitwise.  No program path
+uses them.
 """
 
 from typing import Callable
 
 import numpy as np
+
+from vlasov_transport.analysis import (_DENSITY_FLOOR, DiagnosticsTrace,
+                                       _lowest, _occupied_velocities,
+                                       _radius, _threshold_for)
+from vlasov_transport.field_solve import density_moment, trapezoid_uniform
 
 
 class AnalyticFieldHistory:
@@ -40,3 +48,60 @@ def constant_field_oracle(x, v, t: float, s: float, b: float):
     v = np.asarray(v, dtype=float)
     h = s - t
     return x + v * h + 0.5 * b * h * h, v + b * h
+
+
+def full_lattice_diagnostics(solution) -> DiagnosticsTrace:
+    """compute_diagnostics with every level read as its full lattice."""
+    grid = solution.grid
+    thr = _threshold_for(solution.f_levels[0], None)
+    n = solution.n_levels
+    out = {name: np.zeros(n) for name in DiagnosticsTrace.COLUMNS[1:]}
+    running = 0.0
+    for k in range(n):
+        f = solution.f_levels[k]
+        b = solution.b_levels[k]
+        values = f.values
+        out["density_sup"][k] = f.sup_norm()
+        out["field_sup"][k] = b.sup_norm()
+        out["field_min"][k] = float(b.values.min())
+        out["field_max"][k] = float(b.values.max())
+        out["mass"][k] = float(trapezoid_uniform(
+            trapezoid_uniform(values, grid.dv, axis=1), grid.dx, axis=0))
+        occupied = _occupied_velocities(f, thr)
+        running = max(running, _radius(occupied))
+        out["support_radius"][k] = running
+        out["support_inf"][k] = _lowest(occupied)
+        out["dxf_sup"][k] = float(np.max(np.abs(
+            np.gradient(values, grid.dx, axis=0, edge_order=2))))
+        out["dvf_sup"][k] = float(np.max(np.abs(
+            np.gradient(values, grid.dv, axis=1, edge_order=2))))
+        out["dxb_sup"][k] = float(np.max(np.abs(
+            np.gradient(b.values, grid.dx, edge_order=2))))
+    return DiagnosticsTrace(times=solution.times, **out)
+
+
+def full_lattice_pde_residual(solution):
+    """pde_residual with every level read as its full lattice."""
+    grid = solution.grid
+    dt = solution.dt
+    b = np.stack([lv.values for lv in solution.b_levels])
+    rho = np.stack([density_moment(lv).values for lv in solution.f_levels])
+    v_inner = grid.v_nodes[None, 1:-1]
+    level_res = []
+    before, here = (lv.values for lv in solution.f_levels[:2])
+    for k in range(1, solution.n_levels - 1):
+        after = solution.f_levels[k + 1].values
+        interior = here[1:-1, 1:-1]
+        dtf = (after[1:-1, 1:-1] - before[1:-1, 1:-1]) / (2.0 * dt)
+        dxf = (here[2:, 1:-1] - here[:-2, 1:-1]) / (2.0 * grid.dx)
+        dvf = (here[1:-1, 2:] - here[1:-1, :-2]) / (2.0 * grid.dv)
+        res_f = dtf + v_inner * dxf + b[k, 1:-1, None] * dvf
+        carrying = np.abs(interior) > _DENSITY_FLOOR
+        if carrying.any():
+            level_res.append(np.max(np.abs(res_f[carrying])))
+        before, here = here, after
+    density_res = float(np.max(level_res)) if level_res else 0.0
+    dtb = (b[2:, 1:-1] - b[:-2, 1:-1]) / (2.0 * dt)
+    dxb = (b[1:-1, 2:] - b[1:-1, :-2]) / (2.0 * grid.dx)
+    field_res = float(np.max(np.abs(dtb + dxb - rho[1:-1, 1:-1])))
+    return density_res, field_res

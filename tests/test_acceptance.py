@@ -43,7 +43,9 @@ CROSS_ENGINE_CONST = 50.0
 CROSS_ENGINE_GROWTH = 1.5
 # frame-change residual slack, from the coarse-grid measurement (97.2)
 FRAME_RESIDUAL_CONST = 110.0
-# free-streaming derivative-representation envelope, measured ~32 * dx^2
+# free-streaming derivative-representation envelope: the dv f residual
+# measured ~32 * dx^2, the dx f residual 39.9, 41.1 and 42.0 * dx^2 at 65,
+# 129 and 257 nodes (93% of the envelope at 257, and rising)
 REP_ENVELOPE_CONST = 45.0
 # independent fixed-step integration at ds = 1e-5 (see test_solver)
 BLOWUP_ORACLE = {0.5: 1.47573, 1.0: 1.0, 2.0: 0.67172, 4.0: 0.44723}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vlasov_transport.analysis import (ContinuationReport, DiagnosticsTrace,
                                        HolderReport, ScenarioHypothesisError,
@@ -22,6 +23,7 @@ from vlasov_transport.solver import (SolutionHistory, majorant_existence_time,
                                      solve_direct, solve_picard)
 
 from lattices import grids, lattices, same_bits
+from oracles import full_lattice_diagnostics, full_lattice_pde_residual
 
 
 def _grid(nx=33, nv=33):
@@ -106,6 +108,56 @@ def test_compute_diagnostics_on_hand_lattices():
     np.testing.assert_allclose(diag.field_max, 3.0)
     rows = list(diag.rows())
     assert len(rows) == 3 and len(rows[0]) == len(DiagnosticsTrace.COLUMNS)
+
+
+def _assert_diagnostics_match_the_full_lattice(hist):
+    got = compute_diagnostics(hist)
+    want = full_lattice_diagnostics(hist)
+    for name in DiagnosticsTrace.COLUMNS[1:]:
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(pde_residual(hist), full_lattice_pde_residual(hist))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.data())
+def test_windowed_diagnostics_equal_the_full_lattice_oracles(grid, data):
+    n = data.draw(st.integers(3, 5))
+    f_values = [data.draw(lattices(grid)) for _ in range(n)]
+    b_values = [data.draw(arrays(np.float64, grid.nx,
+                                 elements=st.floats(-1e3, 1e3)))
+                for _ in range(n)]
+    _assert_diagnostics_match_the_full_lattice(
+        _small_history(f_values, grid, b_values=b_values))
+
+
+def test_gradient_sups_read_three_zero_nodes_round_the_block():
+    # One interior entry.  The centred difference next to it is
+    # f / (2 dv); a one-sided edge formula that read it would give
+    # (0.5 / dv) f, which rounds one bit higher for this f and dv.
+    grid = _grid()
+    values = np.zeros((33, 33))
+    values[16, 16] = 0.23855880705094323
+    assert (0.5 / grid.dv) * values[16, 16] > values[16, 16] / (2 * grid.dv)
+    _assert_diagnostics_match_the_full_lattice(
+        _small_history([values] * 3, grid))
+
+
+def test_windowed_diagnostics_on_solved_histories():
+    grid = _grid()
+    picard, _ = solve_picard(InitialDataSpec(), grid, 0.25, 1.0 / 32.0)
+    negative, _ = solve_picard(InitialDataSpec(f0_amplitude=-1.0), grid, 0.25,
+                               1.0 / 32.0)
+    empty, _ = solve_picard(InitialDataSpec(f0_family="zero"), grid, 0.25,
+                            1.0 / 32.0)
+    assert all(f.data.size == 0 for f in empty.f_levels)
+    # mass leaves through the x_min edge, so the support reaches row 0
+    edge = solve_direct(InitialDataSpec(f0_center_x=-0.4, f0_center_v=-1.5,
+                                        f0_width=0.4, b0_family="zero"),
+                        build_phase_grid(-1.0, 1.0, -2.5, 2.5, 33, 33), 0.5,
+                        1.0 / 32.0)
+    assert edge.f_levels[-1].origin[0] == 0
+    for hist in (picard, negative, empty, edge):
+        _assert_diagnostics_match_the_full_lattice(hist)
 
 
 def test_derivative_rep_check_validation():

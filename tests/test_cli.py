@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from vlasov_transport import cli
 from vlasov_transport.cli import (_KEYS, ConfigError, RunConfig, load_config,
                                   main, parse_config, run_scenario)
+from vlasov_transport.phase_space import DensityField
 from vlasov_transport.snapshot import MAGIC, read_snapshot, write_snapshot
 
 TINY_BOTH = """
@@ -315,6 +316,23 @@ def test_run_scenario_writes_exactly_the_enabled_artifacts(
         assert rows, name
         if header.startswith("engine,"):
             assert sorted({row.split(",")[0] for row in rows}) == engines
+
+
+def test_run_scenario_builds_full_lattices_for_f_snapshots_only(
+        tmp_path, monkeypatch):
+    # Every other reader of a density level places it into a window of
+    # its own, so a full lattice is built once per f snapshot per engine.
+    built = []
+    full_lattice = DensityField.values
+
+    def counted(level):
+        built.append(level.time)
+        return full_lattice.fget(level)
+
+    monkeypatch.setattr(DensityField, "values", property(counted))
+    cfg = parse_config(TINY_BOTH)
+    run_scenario(cfg, out_dir=tmp_path)
+    assert sorted(built) == sorted(2 * list(cfg.snapshot_times))
 
 
 def test_run_scenario_clean_config_passes(tmp_path):

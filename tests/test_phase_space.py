@@ -14,11 +14,10 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           UniformField, ZeroDensity,
                                           ZeroField, build_phase_grid,
                                           interp_lattice, interp_profile,
-                                          sample_initial_data)
+                                          place_window, sample_initial_data)
 from vlasov_transport.phase_space import (_DENSITY_FAMILIES, _FIELD_FAMILIES,
                                           _NODE_SNAP, _bump, _bump_prime,
-                                          _cubic_table, _frame, _stencil,
-                                          _zero_lattice)
+                                          _cubic_table, _frame, _stencil)
 
 from lattices import NONZERO_ENTRY, grids, lattices, same_bits
 
@@ -61,22 +60,9 @@ def test_density_field_shape_check():
     assert f.sup_norm() == 0.0
 
 
-@pytest.mark.parametrize("shape", [(5, 7), (257, 257), (3,)])
-def test_zero_lattice_is_private_contiguous_float_zeros(shape):
-    a = _zero_lattice(shape)
-    b = _zero_lattice(shape)
-    for lattice in (a, b):
-        assert lattice.shape == shape and lattice.dtype == np.float64
-        assert lattice.flags.c_contiguous and lattice.flags.writeable
-        assert not lattice.any()
-    assert not np.shares_memory(a, b)
-    a[-1] = 2.0
-    assert not b.any()
-
-
 def test_density_field_on_a_zero_lattice_is_read_only():
     grid = build_phase_grid(0.0, 1.0, 0.0, 1.0, 5, 7)
-    f = DensityField(grid, _zero_lattice((5, 7)), 0.0)
+    f = DensityField(grid, np.zeros((5, 7)), 0.0)
     with pytest.raises(ValueError):
         f.values[2, 3] = 1.0
     assert f.sup_norm() == 0.0
@@ -132,6 +118,28 @@ def test_density_field_places_exactly_its_stored_entries(grid, data):
             f.place(np.zeros((m - 1, n)), f.origin)
         with pytest.raises(ValueError, match="does not cover"):
             f.place(np.zeros((m, n)), (rs.start, cs.start + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_place_window_is_the_padded_union_of_the_blocks(grid, data):
+    lattices_ = data.draw(st.lists(lattices(grid), min_size=1, max_size=3))
+    pad = data.draw(st.integers(0, 4))
+    levels = [DensityField(grid, values, 0.5) for values in lattices_]
+    window = place_window(levels, pad)
+    nonzero = np.logical_or.reduce([v.view(np.int64) != 0 for v in lattices_])
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if not rows.size:
+        assert window is None
+        return
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    rs = slice(max(rows[0] - pad, 0), min(rows[-1] + 1 + pad, grid.nx))
+    cs = slice(max(cols[0] - pad, 0), min(cols[-1] + 1 + pad, grid.nv))
+    arrays_, at = window
+    assert at == (rs.start, cs.start)
+    assert len(arrays_) == len(levels)
+    for placed, values in zip(arrays_, lattices_):
+        assert same_bits(placed, values[rs, cs])
 
 
 # Bytes a level may hold beyond its entries and its mask: the two array
