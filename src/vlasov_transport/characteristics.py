@@ -32,13 +32,14 @@ class LatticeFieldHistory:
     interpolates the blended profile cubically along x.  The history keeps
     a read-only copy of its levels and builds the power-form tables of
     every level and of every halfway blend once, at construction.  A time
-    on a level or halfway between two reads its table; any other time
-    builds the table of its blend.  range_bound() bounds every value eval
-    can return, overshoot of the cubic between nodes included; sup_bound()
-    is the largest node value only.  Queries outside the spatial axis
-    raise DomainExitError, with the time appended: a trajectory that
-    leaves the truncated domain cannot be integrated further, the domain
-    was sized too small.
+    within _TIME_SNAP level spacings of a level or of a half-level reads
+    its table, so the middle stages of an RK4 step land on a cached table
+    even when dt is not dyadic; any other time builds the table of its
+    blend.  range_bound() bounds every value eval can return, overshoot of
+    the cubic between nodes included; sup_bound() is the largest node
+    value only.  Queries outside the spatial axis raise DomainExitError,
+    with the time appended: a trajectory that leaves the truncated domain
+    cannot be integrated further, the domain was sized too small.
     """
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, dt: float,
@@ -104,7 +105,7 @@ class LatticeFieldHistory:
         # two levels first costs one lookup instead of two.
         if theta == 0.0:
             table = self._tables[k]
-        elif theta == 0.5:
+        elif abs(theta - 0.5) <= _TIME_SNAP:
             table = self._half_tables[k]
         else:
             table = _cubic_table((1.0 - theta) * self.values[k]

@@ -5,7 +5,11 @@ a particle density f(x, v) sampled on the full lattice and a force field
 B(x) sampled on the spatial axis alone.  Initial data comes from small
 closed-form families (compactly supported product bumps for f, and
 bump/Gaussian/uniform profiles for B) so that solvers can re-evaluate the
-exact initial state at arbitrary off-grid points.
+exact initial state at arbitrary off-grid points.  The bump and Gaussian
+profiles are two declarations over one shaped form A * shape(x / w).  A
+field family gives its values, its sup norm, the sup of |B'| that the
+field estimate reads (derivative_sup) and its change of frame; none
+evaluates B' pointwise.
 
 Interpolation is piecewise cubic with a 4-point Lagrange stencil per axis.
 It reproduces polynomials of degree <= 3 per axis exactly and returns the
@@ -313,28 +317,26 @@ class BumpDensity:
         if not isinstance(self.power, int) or self.power < 2:
             raise ValueError("bump power must be an integer >= 2")
 
+    def _z(self, x, v):
+        """The scaled coordinates ((x - cx) / w, (v - cv) / w)."""
+        return ((np.asarray(x, dtype=float) - self.center_x) / self.width,
+                (np.asarray(v, dtype=float) - self.center_v) / self.width)
+
     def value(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = self.amplitude \
-            * _bump((x - self.center_x) / self.width, self.power) \
-            * _bump((v - self.center_v) / self.width, self.power)
+        zx, zv = self._z(x, v)
+        out = self.amplitude * _bump(zx, self.power) * _bump(zv, self.power)
         out += 0.0    # a negative amplitude's -0.0 off the support is +0.0
         return out
 
     def dx(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        zx, zv = self._z(x, v)
         return (self.amplitude / self.width) \
-            * _bump_prime((x - self.center_x) / self.width, self.power) \
-            * _bump((v - self.center_v) / self.width, self.power)
+            * _bump_prime(zx, self.power) * _bump(zv, self.power)
 
     def dv(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        zx, zv = self._z(x, v)
         return (self.amplitude / self.width) \
-            * _bump((x - self.center_x) / self.width, self.power) \
-            * _bump_prime((v - self.center_v) / self.width, self.power)
+            * _bump(zx, self.power) * _bump_prime(zv, self.power)
 
     @property
     def support(self):
@@ -362,9 +364,6 @@ class ZeroDensity:
     def value(self, x, v):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(v)).shape)
 
-    dx = value
-    dv = value
-
     @property
     def support(self):
         return None
@@ -378,67 +377,51 @@ class ZeroDensity:
 
 
 @dataclass(frozen=True)
-class BumpField:
+class _ShapedField:
+    """Field profile A * shape(x / w), the form of BumpField and
+    GaussianField.  A family sets _name, for its width message, _shape(z)
+    and _slope(r), the sup of |d/dx A shape(x / w)| for r = |A| / w.
+    """
+
+    amplitude: float
+    width: float
+
+    def __post_init__(self):
+        if self.width <= 0:
+            raise ValueError(f"{self._name} width must be positive")
+
+    def value(self, x):
+        return self.amplitude * self._shape(np.asarray(x, dtype=float)
+                                            / self.width)
+
+    @property
+    def sup_norm(self) -> float:
+        return abs(self.amplitude)
+
+    @property
+    def derivative_sup(self) -> float:
+        return self._slope(abs(self.amplitude) / self.width)
+
+    def scaled(self, u: float):
+        a = _frame(u)
+        return type(self)(self.amplitude / a, self.width / abs(a))
+
+
+class BumpField(_ShapedField):
     """Compactly supported field profile A * (1-(x/w)^2)^2_+."""
 
-    amplitude: float
-    width: float
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("bump width must be positive")
-
-    def value(self, x):
-        return self.amplitude * _bump(np.asarray(x, dtype=float) / self.width)
-
-    def derivative(self, x):
-        return (self.amplitude / self.width) \
-            * _bump_prime(np.asarray(x, dtype=float) / self.width)
-
-    @property
-    def sup_norm(self) -> float:
-        return abs(self.amplitude)
-
-    @property
-    def derivative_sup(self) -> float:
-        # max of |4z(1-z^2)| on [0, 1] sits at z = 1/sqrt(3).
-        return abs(self.amplitude) / self.width * 8.0 / (3.0 * math.sqrt(3.0))
-
-    def scaled(self, u: float) -> "BumpField":
-        a = _frame(u)
-        return BumpField(self.amplitude / a, self.width / abs(a))
+    _name = "bump"
+    _shape = staticmethod(_bump)
+    # max of |4z(1-z^2)| on [0, 1] sits at z = 1/sqrt(3).
+    _slope = staticmethod(lambda r: r * 8.0 / (3.0 * math.sqrt(3.0)))
 
 
-@dataclass(frozen=True)
-class GaussianField:
+class GaussianField(_ShapedField):
     """Smooth non-compact profile A * exp(-(x/w)^2)."""
 
-    amplitude: float
-    width: float
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("gaussian width must be positive")
-
-    def value(self, x):
-        z = np.asarray(x, dtype=float) / self.width
-        return self.amplitude * np.exp(-z * z)
-
-    def derivative(self, x):
-        z = np.asarray(x, dtype=float) / self.width
-        return self.amplitude * (-2.0 * z / self.width) * np.exp(-z * z)
-
-    @property
-    def sup_norm(self) -> float:
-        return abs(self.amplitude)
-
-    @property
-    def derivative_sup(self) -> float:
-        return abs(self.amplitude) / self.width * math.sqrt(2.0 / math.e)
-
-    def scaled(self, u: float) -> "GaussianField":
-        a = _frame(u)
-        return GaussianField(self.amplitude / a, self.width / abs(a))
+    _name = "gaussian"
+    _shape = staticmethod(lambda z: np.exp(-z * z))
+    _slope = staticmethod(lambda r: r * math.sqrt(2.0 / math.e))
 
 
 @dataclass(frozen=True)
@@ -447,9 +430,6 @@ class UniformField:
 
     def value(self, x):
         return np.full(np.shape(np.asarray(x, dtype=float)), self.amplitude)
-
-    def derivative(self, x):
-        return np.zeros(np.shape(np.asarray(x, dtype=float)))
 
     @property
     def sup_norm(self) -> float:
@@ -468,8 +448,6 @@ class UniformField:
 class ZeroField:
     def value(self, x):
         return np.zeros(np.shape(np.asarray(x, dtype=float)))
-
-    derivative = value
 
     @property
     def sup_norm(self) -> float:

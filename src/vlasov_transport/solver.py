@@ -66,8 +66,8 @@ from .characteristics import LatticeFieldHistory, trace_states
 from .field_solve import (MomentProfile, _field_shift, _finish_field,
                           density_moment, field_from_history)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
-                          TransportField, _bounding_slices, interp_lattice,
-                          place_window, sample_initial_data)
+                          _bounding_slices, interp_lattice, place_window,
+                          sample_initial_data)
 
 __all__ = [
     "SolutionHistory",
@@ -321,12 +321,11 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     density_diffs = []
     converged = False
     f_levels = [f0_field] * n_levels
-    b_levels = [TransportField(grid, b_stack[k], k * dt)
-                for k in range(n_levels)]
     for _ in range(max_iter):
         # The history is left unnamed, so a sweep's history and its tables
         # are freed before the next sweep builds its own; the sweep clears
-        # the previous iterate's levels from f_levels as it goes.
+        # the previous iterate's levels from f_levels as it goes.  max_iter
+        # >= 1, so the first sweep always runs and binds b_levels.
         f_levels, b_levels, density_diff = picard_step(
             LatticeFieldHistory(grid, b_stack, dt), f0, b0, grid, n_levels,
             dt, f_levels, monotone=monotone)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
-from vlasov_transport.phase_space import (DomainExitError, build_phase_grid,
-                                          interp_profile)
+from vlasov_transport import characteristics
+from vlasov_transport.characteristics import (_TIME_SNAP, LatticeFieldHistory,
+                                              trace_states)
+from vlasov_transport.phase_space import (DomainExitError, _cubic_table,
+                                          build_phase_grid, interp_profile)
 
 from oracles import AnalyticFieldHistory, constant_field_oracle
 
@@ -183,9 +185,14 @@ def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
     dt = 0.25
     on_level = st.integers(0, levels - 1).map(float)
     half_level = st.integers(0, levels - 2).map(lambda k: k + 0.5)
+    # a few ulps to a little past _TIME_SNAP off a half-level
+    near_half = st.tuples(st.integers(0, levels - 2),
+                          st.floats(-2e-9, 2e-9)).map(lambda p: p[0] + 0.5
+                                                      + p[1])
     anywhere = st.tuples(st.integers(0, levels - 2),
                          st.floats(1e-6, 1.0 - 1e-6)).map(sum)
-    positions = data.draw(st.lists(st.one_of(on_level, half_level, anywhere),
+    positions = data.draw(st.lists(st.one_of(on_level, half_level, near_half,
+                                             anywhere),
                                    min_size=1, max_size=8))
     xq = data.draw(arrays(np.float64, st.integers(1, 20),
                           elements=st.floats(grid.x_min, grid.x_max)))
@@ -198,12 +205,38 @@ def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
         pos = s / dt
         k = min(int(pos), levels - 2)
         theta = pos - k
+        if abs(theta - 0.5) <= _TIME_SNAP:
+            theta = 0.5
         if theta in (0.0, 1.0):
             row = values[k + int(theta)]
         else:
             row = (1.0 - theta) * values[k] + theta * values[k + 1]
         want = interp_profile(grid.x_min, grid.dx, row, xq)
         assert got.tobytes() == want.tobytes()
+
+
+def test_stage_times_of_a_non_dyadic_history_read_cached_tables(
+        monkeypatch):
+    # With dt = 0.01 the middle stages of an RK4 step land an ulp or so off
+    # a half-level; each would build the table of its own blend.
+    grid = build_phase_grid(-2.0, 2.0, 0.0, 1.0, 33, 4)
+    dt, levels = 0.01, 31
+    times = dt * np.arange(levels)
+    hist = LatticeFieldHistory(
+        grid, 0.5 * np.sin(grid.x_nodes[None, :] - times[:, None]), dt)
+    built = []
+
+    def cubic_table(values):
+        built.append(values)
+        return _cubic_table(values)
+
+    monkeypatch.setattr(characteristics, "_cubic_table", cubic_table)
+    x = np.linspace(-0.5, 0.5, 5)
+    v = np.linspace(-0.3, 0.3, 5)
+    # as Picard traces level k: k steps of one level spacing back to 0
+    for k in range(1, levels):
+        trace_states(x, v, k * dt, 0.0, hist, k)
+    assert built == []
 
 
 def test_analytic_history_range_is_the_symmetric_sup():

@@ -251,12 +251,18 @@ def test_field_families():
     zero = ZeroField()
     assert zero.sup_norm == 0.0 and zero.value(3.0) == 0.0
 
+    for fam, name in ((BumpField, "bump"), (GaussianField, "gaussian")):
+        with pytest.raises(ValueError, match=f"^{name} width must be "
+                                             "positive$"):
+            fam(1.0, 0.0)
+        assert type(fam(1.0, 2.0).scaled(-3.0)) is fam
+
 
 @pytest.mark.parametrize("fam", [BumpField(0.5, 1.0), GaussianField(2.0, 0.7)])
 def test_field_derivative_sup_matches_dense_scan(fam):
     x = np.linspace(-5.0, 5.0, 200001)
     assert fam.derivative_sup == pytest.approx(
-        np.max(np.abs(fam.derivative(x))), rel=1e-6)
+        np.max(np.abs(np.gradient(fam.value(x), x))), rel=1e-6)
 
 
 def test_zero_density_conventions():

@@ -5,18 +5,20 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import vlasov_transport
 from vlasov_transport import solver
 from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
-from vlasov_transport.phase_space import (DensityField, DomainExitError,
-                                          InitialDataSpec, build_phase_grid,
+from vlasov_transport.phase_space import (_NODE_SNAP, DensityField,
+                                          DomainExitError, InitialDataSpec,
+                                          _stencil, build_phase_grid,
                                           interp_lattice, sample_initial_data)
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
                                      advect_density, majorant_existence_time,
                                      solve_direct, solve_picard)
-from vlasov_transport.solver import (_advect_lattice_step, _grow_box,
+from vlasov_transport.solver import (_ROUNDING_SLACK, _advect_lattice_step,
+                                     _clamp, _grow_box, _read_offsets,
                                      _sup_distance, _support_mask)
 
 from lattices import grids, lattices, same_bits
@@ -397,6 +399,40 @@ def test_support_mask_matches_the_full_grid_formula(nx, nv, bx, bv, t, lo,
     hi = lo + span
     got = _selected(grid, _support_mask(grid, box, t, lo, hi))
     assert np.array_equal(got, _support_mask_full_grid(grid, box, t, lo, hi))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(4, 40), st.booleans(), st.data())
+def test_read_range_holds_every_node_the_stencil_reads(n, monotone, data):
+    # Direct's read rule against the kernel's: node i's foot lies lo to hi
+    # cells from it, and _stencil picks the nodes a query there reads
+    reach = st.one_of(st.floats(-2.0 * n, 2.0 * n),
+                      st.integers(-n - 2, n + 2).map(float),
+                      st.sampled_from([-math.inf, math.inf]))
+    lo, hi = sorted(data.draw(st.tuples(reach, reach)))
+    i = data.draw(st.integers(0, n - 1))
+    below, above = (0, 1) if monotone else (1, 2)
+    o_lo, o_hi = _read_offsets(lo, hi, n, below, above)
+    first, last = _clamp(i + o_lo, i + o_hi, n, below + above)
+
+    def read(c):
+        # interp_lattice clips a query into the lattice before _stencil
+        coord = np.array([min(max(i + c, 0.0), n - 1.0)])
+        cell, start, _ = _stencil(coord, n)
+        node = int((cell if monotone else start)[0])
+        return node, node + below + above
+
+    drawn = data.draw(st.lists(st.floats(-n - 3.0, n + 3.0), max_size=8))
+    for c in [lo, hi, *(min(max(d, lo), hi) for d in drawn)]:
+        a, b = read(c)
+        assert first <= a and b <= last
+    # The ends are read at the reach widened by its rounding slack, unless
+    # that lands just under a node, where _stencil snaps onto it.
+    for end in (lo - _ROUNDING_SLACK, hi + _ROUNDING_SLACK):
+        if math.isfinite(end):
+            assume(math.ceil(end) - end > 2 * _NODE_SNAP or end == int(end))
+    assert read(lo - _ROUNDING_SLACK)[0] == first
+    assert read(hi + _ROUNDING_SLACK)[1] == last
 
 
 # Node values of a field level: rough plateaus such as 0, 1, 1, 0, whose
