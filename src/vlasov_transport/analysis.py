@@ -21,7 +21,7 @@ import numpy as np
 from .characteristics import trace_states
 from .field_solve import density_moment, trapezoid_uniform
 from .phase_space import (DensityField, PhaseGrid, TransportField, _frame,
-                          interp_lattice, interp_profile, place_window)
+                          interp_lattice, place_window)
 from .solver import SolutionHistory, MajorantResult, _support_mask
 
 __all__ = [
@@ -202,12 +202,11 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
         f_k = solution.f_levels[k].values
         dxf_k = np.gradient(f_k, grid.dx, axis=0, edge_order=2)
         dvf_k = np.gradient(f_k, grid.dv, axis=1, edge_order=2)
-        dxb_k = np.gradient(solution.b_levels[k].values, grid.dx,
-                            edge_order=2)
+        b_k = solution.b_levels[k]
+        dxb_k = TransportField(grid, np.gradient(b_k.values, grid.dx,
+                                                 edge_order=2), b_k.time)
         gx[k] = interp_lattice(grid, dxf_k, xs[k], vs[k])
-        gv[k] = interp_profile(grid.x_min, grid.dx, dxb_k, xs[k],
-                               out_of_range="error") \
-            * interp_lattice(grid, dvf_k, xs[k], vs[k])
+        gv[k] = dxb_k.at(xs[k]) * interp_lattice(grid, dvf_k, xs[k], vs[k])
     rep_dv = f0.dv(xs[0], vs[0]) - trapezoid_uniform(gx, dt, axis=0)
     rep_dx = f0.dx(xs[0], vs[0]) - trapezoid_uniform(gv, dt, axis=0)
     # the loop's last pass left level m's finite differences
@@ -258,7 +257,7 @@ def transform_field_level(b: TransportField, new_grid: PhaseGrid,
     a = _frame(u)
     xq = np.clip(a * new_grid.x_nodes - u * b.time,
                  b.grid.x_min, b.grid.x_max)
-    values = (1.0 / a) * interp_profile(b.grid.x_min, b.grid.dx, b.values, xq)
+    values = (1.0 / a) * b.at(xq)
     return TransportField(new_grid, values, b.time)
 
 

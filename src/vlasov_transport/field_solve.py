@@ -18,13 +18,12 @@ defined everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .phase_space import (DensityField, PhaseGrid, TransportField,
-                          _cubic_table, _freeze, interp_profile)
+from .phase_space import (DensityField, TransportField, _Profile,
+                          interp_profile)
 
 __all__ = [
     "MomentProfile",
@@ -59,24 +58,10 @@ def cumtrapz_uniform(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MomentProfile:
+class MomentProfile(_Profile):
     """Velocity moment of a density on the spatial axis at a fixed time."""
 
-    grid: PhaseGrid
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.shape != (self.grid.nx,):
-            raise ValueError("moment profile shape does not match grid x-axis")
-
-    @cached_property
-    def _table(self) -> np.ndarray:
-        # Built on the first lookup and kept: a moment level is read by
-        # every later field rebuild of a Picard sweep.
-        return _cubic_table(self.values)
+    _name = "moment"
 
     def at(self, x, monotone: bool = False):
         # Zero outside the axis: the moment inherits compact support.
@@ -101,10 +86,6 @@ def density_moment(f: DensityField) -> MomentProfile:
     return MomentProfile(grid, values, f.time)
 
 
-def _eval_initial_field(b0: Callable, x):
-    return np.asarray(b0(np.asarray(x, dtype=float)), dtype=float)
-
-
 def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
                        monotone: bool = False) -> TransportField:
     """Rebuild B(t) from the initial field and the moment levels on [0, t].
@@ -120,15 +101,14 @@ def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
     if n == 1:
         if abs(t) > 1e-12:
             raise ValueError("a single moment level only reconstructs t = 0")
-        return TransportField(grid, _eval_initial_field(b0, x), 0.0)
+        return TransportField(grid, b0(x), 0.0)
     dt = t / (n - 1)
     for k, m in enumerate(moments):
         if abs(m.time - k * dt) > 1e-9 * max(1.0, abs(t)):
             raise ValueError("moment levels must be uniformly spaced on [0, t]")
     samples = np.stack([m.at(x - t + k * dt, monotone=monotone)
                         for k, m in enumerate(moments)])
-    values = _eval_initial_field(b0, x - t) + trapezoid_uniform(samples, dt,
-                                                                axis=0)
+    values = b0(x - t) + trapezoid_uniform(samples, dt, axis=0)
     return TransportField(grid, values, t)
 
 
@@ -160,18 +140,15 @@ def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float,
     grid = b_t.grid
     shifted = grid.x_nodes - dt
     if inflow is None:
-        b_shift = interp_profile(grid.x_min, grid.dx, b_t.values, shifted,
-                                 out_of_range="error", monotone=monotone)
+        b_shift = b_t.at(shifted, monotone=monotone)
     else:
-        inside = shifted >= grid.x_min - 1e-12 * max(1.0, grid.dx)
+        # The shifted nodes increase: those that read the inflow come first.
+        split = np.searchsorted(shifted,
+                                grid.x_min - 1e-12 * max(1.0, grid.dx))
         b_shift = np.empty_like(shifted)
-        if np.any(inside):
-            b_shift[inside] = interp_profile(
-                grid.x_min, grid.dx, b_t.values,
-                np.clip(shifted[inside], grid.x_min, None),
-                out_of_range="error", monotone=monotone)
-        if np.any(~inside):
-            b_shift[~inside] = np.asarray(inflow(shifted[~inside]), dtype=float)
+        b_shift[:split] = inflow(shifted[:split])
+        b_shift[split:] = b_t.at(np.clip(shifted[split:], grid.x_min, None),
+                                 monotone=monotone)
     return b_shift, rho_t.at(shifted, monotone=monotone)
 
 

@@ -17,11 +17,12 @@ stored value bitwise when queried at a node.  Profiles are evaluated in
 per-cell power form: an (n, 4) table of cubic coefficients, built from
 finite differences of the node values, turns every query into one cell
 lookup, one gather of the cell's row and Horner's rule.  The table is
-built once per profile: callers that look a profile up repeatedly (field
-histories, moment profiles) build it once and pass it in, and a stack of
-profiles builds all its tables in one call.  Lattices keep the Lagrange
-weights per query, gathered from the flattened lattice, since a
-16-coefficient table per cell would cost more to build than it saves.
+built once per profile: a moment profile builds it on its first lookup
+and keeps it, a field profile, looked up once, builds it per lookup,
+and a field history builds the tables of its whole stack in one call.
+Lattices keep the Lagrange weights per query, gathered from the
+flattened lattice, since a 16-coefficient table per cell would cost
+more to build than it saves.
 Queries outside a density lattice read as zero (densities are compactly
 supported with a two-cell zero collar); queries outside a force-field
 profile are an error, because the field has no meaningful extension
@@ -127,12 +128,6 @@ class PhaseGrid:
 def build_phase_grid(x_min, x_max, v_min, v_max, nx, nv) -> PhaseGrid:
     return PhaseGrid(float(x_min), float(x_max), float(v_min), float(v_max),
                      int(nx), int(nv))
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 def _bounding_slices(mask: np.ndarray):
@@ -257,20 +252,44 @@ def place_window(levels, pad: int = 0):
 
 
 @dataclass(frozen=True)
-class TransportField:
-    """Force field sampled on the spatial axis of a grid at a fixed time."""
+class _Profile:
+    """Read-only profile on the spatial axis at a fixed time, the form of
+    TransportField and MomentProfile.  A family sets _name, for its shape
+    message, and its own lookup, at.
+    """
 
     grid: PhaseGrid
     values: np.ndarray
     time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.shape != (self.grid.nx,):
-            raise ValueError("field profile shape does not match grid x-axis")
+        values = np.asarray(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.grid.nx,):
+            raise ValueError(
+                f"{self._name} profile shape does not match grid x-axis")
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        # Built on the first lookup and kept: a moment level is read by
+        # every later field rebuild of a Picard sweep.
+        return _cubic_table(self.values)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+class TransportField(_Profile):
+    """Force field sampled on the spatial axis of a grid at a fixed time."""
+
+    _name = "field"
+
+    def at(self, x, monotone: bool = False):
+        # An error outside the axis.  Each level is looked up once, so its
+        # table is not kept: that would cost every stored level 4n floats.
+        return interp_profile(self.grid.x_min, self.grid.dx, self.values, x,
+                              monotone=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +626,8 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
             raise ValueError("pass the profile's values or its table, "
                              "not both")
         values = table[:, 0]
+    elif values is None:
+        raise ValueError("pass the profile's values or its table")
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     xq = np.asarray(xq, dtype=float)
@@ -663,6 +684,8 @@ def interp_lattice(grid: PhaseGrid, values: np.ndarray, xq, vq,
     from the flattened lattice by offsets from each query's stencil start.
     """
     values = np.asarray(values, dtype=float)
+    if values.shape != (grid.nx, grid.nv):
+        raise ValueError("density lattice shape does not match grid")
     xq = np.asarray(xq, dtype=float)
     vq = np.asarray(vq, dtype=float)
     shape = np.broadcast(xq, vq).shape

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vlasov_transport import phase_space
 from vlasov_transport.field_solve import (BoundReport, MomentProfile,
                                           advance_field,
                                           conservative_data_constant,
@@ -14,8 +15,8 @@ from vlasov_transport.field_solve import (BoundReport, MomentProfile,
 from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           DensityField, DomainExitError,
                                           InitialDataSpec, TransportField,
-                                          build_phase_grid, interp_profile,
-                                          sample_initial_data)
+                                          _cubic_table, build_phase_grid,
+                                          interp_profile, sample_initial_data)
 
 from lattices import grids, lattices, same_bits
 
@@ -80,11 +81,13 @@ def test_moment_profile_reads_zero_outside():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(4, 40), st.booleans(), st.data())
-def test_moment_profile_cached_table_changes_nothing(nx, monotone, data):
+def test_profile_lookups_match_interp_profile(nx, monotone, data):
     grid = build_phase_grid(-2.0, 3.0, -1.0, 1.0, nx, 4)
     values = data.draw(arrays(np.float64, nx, elements=st.floats(-1e3, 1e3)))
     rho = MomentProfile(grid, values, 0.5)
-    # queries on and off the axis: off it the moment reads zero
+    b = TransportField(grid, values, 0.5)
+    # queries on and off the axis: off it the moment reads zero and the
+    # field is an error
     for _ in range(2):
         xq = data.draw(arrays(np.float64, st.integers(1, 30),
                               elements=st.floats(-3.0, 4.0)))
@@ -92,6 +95,38 @@ def test_moment_profile_cached_table_changes_nothing(nx, monotone, data):
         want = interp_profile(grid.x_min, grid.dx, values, xq,
                               out_of_range="zero", monotone=monotone)
         assert got.tobytes() == want.tobytes()
+        xq = np.clip(xq, grid.x_min, grid.x_max)
+        got = b.at(xq, monotone=monotone)
+        want = interp_profile(grid.x_min, grid.dx, values, xq,
+                              monotone=monotone)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(DomainExitError):
+        b.at(grid.x_max + 0.5 * grid.dx)
+
+
+# A moment level keeps its table, since a Picard sweep reads it again at
+# every later level; a field level is looked up once, so it keeps none.
+@pytest.mark.parametrize("family, name, tables",
+                         [(TransportField, "field", 2),
+                          (MomentProfile, "moment", 1)])
+def test_profiles_freeze_check_and_build_their_tables(monkeypatch, family,
+                                                      name, tables):
+    builds = []
+
+    def cubic_table(values):
+        builds.append(values)
+        return _cubic_table(values)
+
+    monkeypatch.setattr(phase_space, "_cubic_table", cubic_table)
+    grid = _grid(nx=9, nv=4)
+    profile = family(grid, np.arange(9.0), 0.0)
+    assert not profile.values.flags.writeable
+    for xq in (np.array([0.3, -1.7]), 2.2):
+        profile.at(xq)
+    assert len(builds) == tables
+    assert all(values is profile.values for values in builds)
+    with pytest.raises(ValueError, match=f"^{name} profile shape"):
+        family(grid, np.zeros(8), 0.0)
 
 
 def test_field_from_history_zero_density_is_pure_transport():

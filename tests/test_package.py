@@ -87,3 +87,21 @@ def test_every_characteristic_goes_through_trace_states():
     characteristics = importlib.import_module(
         "vlasov_transport.characteristics")
     assert characteristics.__all__ == TRACER_EXPORTS
+
+
+# A profile's cubic table has one owner: phase_space builds it (a moment
+# level keeps its own as _table), and characteristics stacks the tables
+# of a field history.  No other module builds one.
+TABLE_OWNERS = ["characteristics.py", "phase_space.py"]
+
+
+def test_only_profiles_and_field_histories_build_cubic_tables():
+    package = Path(vlasov_transport.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            if "_cubic_table" in names:
+                found.add(path.name)
+    assert sorted(found) == TABLE_OWNERS

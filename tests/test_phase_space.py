@@ -556,6 +556,8 @@ def test_interp_profile_reads_node_values_from_a_given_table():
         assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="not both"):
         interp_profile(0.0, 1.0, values, xq, table=table)
+    with pytest.raises(ValueError, match="values or its table$"):
+        interp_profile(0.0, 1.0, None, xq)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
@@ -658,6 +660,15 @@ def test_lattice_reads_zero_outside_the_rectangle(sizes, data):
     for monotone in (False, True):
         got = interp_lattice(grid, values, xq, vq, monotone=monotone)
         assert np.array_equal(got, np.zeros(m))
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (10, 8)])
+def test_lattice_rejects_a_lattice_of_the_wrong_shape(shape):
+    # a flat gather with mode="clip" would read such a lattice silently
+    grid = build_phase_grid(0.0, 8.0, 0.0, 8.0, 9, 9)
+    values = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match="lattice shape does not match"):
+        interp_lattice(grid, values, 1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

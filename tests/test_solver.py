@@ -246,6 +246,25 @@ def test_monotone_direct_respects_initial_range():
         assert f.values.max() <= spec.density().sup_norm
 
 
+def test_monotone_picard_keeps_every_field_above_the_transported_b0():
+    # With f0 >= 0 each clipped moment sample is >= 0, and so is its
+    # trapezoid, so B_k >= b0(x - t_k) holds exactly.  The plain cubic's
+    # moment samples dip below zero next to the support, so the clip is
+    # what holds it: the flag reaches field_from_history.
+    spec = InitialDataSpec()
+    grid = _grid()
+    b0 = spec.field()
+
+    def least_excess(monotone):
+        history, _ = solve_picard(spec, grid, 0.5, 1.0 / 32.0,
+                                  monotone=monotone)
+        return min(float(np.min(b.values - b0.value(grid.x_nodes - b.time)))
+                   for b in history.b_levels)
+
+    assert least_excess(True) >= 0.0
+    assert least_excess(False) < 0.0
+
+
 def test_advect_density_active_filter_changes_nothing():
     spec = InitialDataSpec()
     f0 = spec.density()
