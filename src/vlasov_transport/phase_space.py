@@ -178,7 +178,7 @@ class DensityField:
         return level
 
     def _crop(self, grid, block, origin, time) -> None:
-        nonzero = block.view(np.int64) != 0
+        nonzero = _reads_nonzero(block, monotone=True)
         slices = _bounding_slices(nonzero)
         if slices is None:
             origin, slices = (0, 0), (slice(0, 0), slice(0, 0))
@@ -263,7 +263,8 @@ class _Profile:
     time: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # A copy, so freezing it leaves the caller's array writeable.
+        values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.nx,):
@@ -560,18 +561,41 @@ def sample_initial_data(spec: InitialDataSpec, grid: PhaseGrid):
 # interpolation
 
 
+_READS = {True: (0, 1), False: (1, 3)}
+
+
+def _read_start(cell, n: int, monotone: bool):
+    """First node a query in cell, its coordinate's floor, reads on an axis
+    of n nodes, clamped before any int cast.  _READS[monotone] is (nodes
+    below the cell, span): a clip reads 2 corners, else the 4-node stencil."""
+    below, span = _READS[monotone]
+    return np.fmin(np.fmax(cell - below, 0), n - 1 - span)
+
+
+def _read_range(lo, hi, n: int, monotone: bool):
+    """First and last node read by the queries in cells lo to hi."""
+    return (_read_start(lo, n, monotone),
+            _read_start(hi, n, monotone) + _READS[monotone][1])
+
+
+def _reads_nonzero(block: np.ndarray, monotone: bool) -> np.ndarray:
+    """Where a lattice read sees block as nonzero: a plain read sums from
+    +0.0, so -0.0 reads as zero, but a clip to -0.0 corners returns -0.0,
+    so a monotone read sees every entry with nonzero bits."""
+    return block.view(np.int64) != 0 if monotone else block != 0
+
+
 def _stencil(coord: np.ndarray, n: int):
-    """Stencil start index and the four Lagrange weights per query.
+    """Cell, stencil start index and the four Lagrange weights per query.
 
     coord is the query position in units of the spacing, measured from the
     first node.  Positions within _NODE_SNAP of a node are snapped so node
-    queries return the stored value exactly.
+    queries return the stored value exactly.  A NaN query reads NaN.
     """
     nearest = np.rint(coord)
     coord = np.where(np.abs(coord - nearest) <= _NODE_SNAP, nearest, coord)
-    cell = np.floor(coord).astype(np.int64)
-    np.clip(cell, 0, n - 2, out=cell)
-    start = np.clip(cell - 1, 0, n - 4)
+    cell = _read_start(np.floor(coord), n, True).astype(np.int64)
+    start = _read_start(cell, n, False)
     u = coord - start
     w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
     w1 = u * (u - 2.0) * (u - 3.0) / 2.0
@@ -635,11 +659,12 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
     coord = q - x0
     coord /= dx
     outside = None
-    # An empty query has no range to test; it reads an empty result.
-    if q.size and (np.minimum.reduce(coord) < -_RANGE_SLACK
-                   or np.maximum.reduce(coord) > (n - 1) + _RANGE_SLACK):
+    # An empty query has no range to test; it reads an empty result.  A
+    # NaN query makes both reductions NaN and takes the branch too.
+    if q.size and not (np.minimum.reduce(coord) >= -_RANGE_SLACK
+                       and np.maximum.reduce(coord) <= (n - 1) + _RANGE_SLACK):
         outside = (coord < -_RANGE_SLACK) | (coord > (n - 1) + _RANGE_SLACK)
-        if out_of_range == "error":
+        if out_of_range == "error" and outside.any():
             worst = q[outside]
             raise DomainExitError(
                 f"profile query outside [{x0}, {x0 + (n - 1) * dx}]: "
@@ -653,12 +678,14 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
     t = coord
     t -= cell
     np.copyto(t, 0.0, where=t <= _NODE_SNAP)
+    if outside is not None:
+        # A NaN query reads cell 0 at t = NaN, so it reads NaN.
+        np.fmax(cell, 0.0, out=cell)
     cell = cell.astype(np.int64)
-    # Horner on one gather of the cells' rows; mode="clip" only acts on NaN
-    # queries, which then read NaN.
+    # Horner on one gather of the cells' rows.
     if table is None:
         table = _cubic_table(values)
-    rows = table.take(cell, axis=0, mode="clip")
+    rows = table.take(cell, axis=0)
     out = rows[:, 3] * t
     out += rows[:, 2]
     out *= t
@@ -666,8 +693,8 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
     out *= t
     out += rows[:, 0]
     if monotone:
-        left = values.take(cell, mode="clip")
-        right = np.append(values[1:], values[-1]).take(cell, mode="clip")
+        left = values.take(cell)
+        right = np.append(values[1:], values[-1]).take(cell)
         out = np.clip(out, np.minimum(left, right), np.maximum(left, right))
     if outside is not None and out_of_range == "zero":
         out = np.where(outside, 0.0, out)

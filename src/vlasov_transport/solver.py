@@ -66,8 +66,8 @@ from .characteristics import LatticeFieldHistory, trace_states
 from .field_solve import (MomentProfile, _field_shift, _finish_field,
                           density_moment, field_from_history)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
-                          _bounding_slices, interp_lattice, place_window,
-                          sample_initial_data)
+                          _bounding_slices, _read_range, _reads_nonzero,
+                          interp_lattice, place_window, sample_initial_data)
 
 __all__ = [
     "SolutionHistory",
@@ -355,14 +355,17 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     The density advection interpolates the previous lattice once per step
     (cubic, or monotone-clipped).
 
-    The engine carries a certified support box with the lattice: per step
-    the box grows by the exact reachability of the flow (velocity changes
-    by at most dt * sup|B|), and nodes outside it are set to exact zero.
-    The true density vanishes there, so this only removes interpolation
-    tails; without it the occupied region would spread by the stencil
-    width every step regardless of the flow.  Inside the box, a node is
-    traced only if its foot can read a nonzero value of the previous
-    level; every other node is exactly +0.0 (see _advect_lattice_step).
+    The engine carries a support box with the lattice: per step the box
+    grows by the flow's reach under the largest node value of the step's
+    field levels (velocity changes by at most dt * max|B| at the nodes),
+    and nodes outside it are set to exact zero.  This is meant to remove
+    interpolation tails only; without it the occupied region would spread by
+    the stencil width every step regardless of the flow.  The box is not
+    a certified reach: the RK4 stages read the cubic interpolant of the
+    field, which can exceed its largest node value.  Inside the box, a
+    node is traced only if its foot can read a nonzero value of the
+    previous level; every other node is exactly +0.0 (see
+    _advect_lattice_step).
     Such a node is not traced, so it cannot abort a run: a domain exit
     comes only from a node that can carry mass.
     """
@@ -398,12 +401,15 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
 
 
 def _grow_box(box, dt: float, b_max: float):
-    """Reachable support box after one step under a field bounded by b_max.
+    """Support box after one step under a field bounded by b_max.
 
     Velocities drift by at most dt * b_max, so the v-range widens by that
     on both sides; each x edge then moves with its own signed velocity
     bound (one-sided data translates instead of inflating, which keeps
-    the box on the grid for long one-directional runs).
+    the box on the grid for long one-directional runs).  Direct passes
+    the largest node value of the step's field levels as b_max, which
+    the cubic interpolant the step reads can exceed, so the box is a
+    reach under the node values, not a certified one.
     """
     (x_lo, x_hi), (v_lo, v_hi) = box
     grow_v = dt * b_max * (1.0 + 1e-9) + 1e-12
@@ -412,23 +418,11 @@ def _grow_box(box, dt: float, b_max: float):
     return (x_lo + dt * v_lo - slop, x_hi + dt * v_hi + slop), (v_lo, v_hi)
 
 
-def _read_offsets(lo, hi, n: int, below: int, above: int):
-    """Offsets from its node of the first and last node a query reads.
-
-    The query lies lo to hi cells from its node, give or take
-    _ROUNDING_SLACK.  It reads from `below` nodes under its cell to
-    `above` nodes over it.  lo and hi are clipped to +-n, so an infinite
-    reach reads the whole axis.
-    """
-    lo = np.floor(np.clip(lo - _ROUNDING_SLACK, -n, n)).astype(np.int64)
-    hi = np.floor(np.clip(hi + _ROUNDING_SLACK, -n, n)).astype(np.int64)
-    return lo - below, hi + above
-
-
-def _clamp(first, last, n: int, span: int):
-    """_stencil's clamp of a read range to an axis of n nodes."""
-    return (np.minimum(np.maximum(first, 0), n - 1 - span),
-            np.maximum(np.minimum(last, n - 1), span))
+def _reach_cells(lo, hi, n: int):
+    """Offsets from its node, within +-n, of the cells a query lo to hi
+    cells from its node can fall in, give or take _ROUNDING_SLACK."""
+    return (np.floor(np.clip(lo - _ROUNDING_SLACK, -n, n)).astype(np.int64),
+            np.floor(np.clip(hi + _ROUNDING_SLACK, -n, n)).astype(np.int64))
 
 
 def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
@@ -438,32 +432,27 @@ def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
 
     lo <= B <= hi wherever the step reads the field, so one backward RK4
     step of size dt puts the foot of node (x, v) in v - dt [lo, hi] and
-    x - dt v + (dt^2 / 2) [lo, hi] (_support_mask).  A foot reads its 4x4
-    stencil, or in a monotone step is clipped to its cell's 2x2 corners.
+    x - dt v + (dt^2 / 2) [lo, hi] (_support_mask).  What a foot reads
+    and sees as nonzero is phase_space's (_read_range, _reads_nonzero).
     Node (i, j) sits at coordinates (i, j), so its column window is j
     plus a fixed offset and its row window i plus an offset of its
     column's.  The window counts are differences of prefix sums over the
     rows and columns the block can reach: one count per row and column
     window, then one per node and row window.
     """
-    below, above = (0, 1) if monotone else (1, 2)
-    span = below + above
     rows = np.arange(rs.start, rs.stop)
     cols = np.arange(cs.start, cs.stop)
-    c_lo, c_hi = _read_offsets(-dt * hi / grid.dv, -dt * lo / grid.dv,
-                               grid.nv, below, above)
-    c_lo, c_hi = _clamp(cols + c_lo, cols + c_hi, grid.nv, span)
+    c_lo, c_hi = _reach_cells(-dt * hi / grid.dv, -dt * lo / grid.dv,
+                              grid.nv)
+    c_lo, c_hi = _read_range(cols + c_lo, cols + c_hi, grid.nv, monotone)
     drift = -dt * grid.v_nodes[cs] / grid.dx
     ex = 0.5 * dt * dt / grid.dx
-    o_lo, o_hi = _read_offsets(drift + ex * lo, drift + ex * hi, grid.nx,
-                               below, above)
-    r0, r1 = _clamp(rows[0] + o_lo.min(), rows[-1] + o_hi.max(), grid.nx,
-                    span)
+    o_lo, o_hi = _reach_cells(drift + ex * lo, drift + ex * hi, grid.nx)
+    r0, r1 = _read_range(rows[0] + o_lo.min(), rows[-1] + o_hi.max(),
+                         grid.nx, monotone)
     c0 = c_lo[0]
     block = f_prev[r0:r1 + 1, c0:c_hi[-1] + 1]
-    # A plain step sums from +0.0, so a zero of either sign reads as zero.
-    # A clip to -0.0 corners returns -0.0, so there only +0.0 bits do.
-    nonzero = block.view(np.int64) != 0 if monotone else block != 0
+    nonzero = _reads_nonzero(block, monotone)
     # Counts stay below nx * nv, so int32 holds them.
     prefix = np.zeros((block.shape[0], block.shape[1] + 1), dtype=np.int32)
     np.cumsum(nonzero, axis=1, out=prefix[:, 1:])
@@ -475,7 +464,8 @@ def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
     live = np.empty((rows.size, cols.size), dtype=bool)
     runs = np.flatnonzero(np.diff(o_lo) | np.diff(o_hi)) + 1
     for a, b in zip([0, *runs], [*runs, cols.size]):
-        first, last = _clamp(rows + o_lo[a], rows + o_hi[a], grid.nx, span)
+        first, last = _read_range(rows + o_lo[a], rows + o_hi[a], grid.nx,
+                                  monotone)
         np.greater(in_cols[last - r0 + 1, a:b], in_cols[first - r0, a:b],
                    out=live[:, a:b])
     return (rs, cs, live) if live.any() else None
@@ -488,14 +478,14 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
 
     lattice holds f_k.values on entry; the step clears f_k's block in it
     and places the next level there, so it holds the next level's values
-    on return.  box certifies the support of f_k.  Returns (next level,
-    grown box).  Nodes outside the grown box are exactly zero by the
-    reachability bound.  Inside it, only the nodes whose foot can read a
-    nonzero value of f_k are traced (_live_nodes).  Every other node
-    reads only zeros: interp_lattice sums its stencil from +0.0, so the
-    sum stays +0.0, and a monotone clip to +0.0 corners returns +0.0.
-    Such a node is left +0.0, so the level is bitwise the one a trace of
-    the whole box gives.
+    on return.  box is f_k's support box.  Returns (next level,
+    grown box).  Nodes outside the grown box are set to exactly zero; the
+    box grows by the field's largest node value (_grow_box), which the
+    cubic interpolant can exceed, so this is not a certified reach.
+    Inside it, only the nodes whose foot can read a nonzero value of f_k
+    are traced (_live_nodes).  Every other node reads only entries a
+    read sees as zero (_reads_nonzero), so it reads +0.0; it is left
+    +0.0, and the level is bitwise the one a trace of the whole box gives.
     """
     grid = f_k.grid
     new_box = None if box is None else _grow_box(box, dt,

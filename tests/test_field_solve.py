@@ -129,6 +129,16 @@ def test_profiles_freeze_check_and_build_their_tables(monkeypatch, family,
         family(grid, np.zeros(8), 0.0)
 
 
+@pytest.mark.parametrize("family", [TransportField, MomentProfile])
+def test_profiles_freeze_a_copy_of_the_callers_array(family):
+    grid = _grid(nx=9, nv=4)
+    values = np.zeros(9)
+    profile = family(grid, values, 0.0)
+    assert values.flags.writeable
+    values[0] = 1.0
+    assert profile.values[0] == 0.0
+
+
 def test_field_from_history_zero_density_is_pure_transport():
     # no source: B(t) = B0(x - t) exactly, for any analytic B0
     grid = _grid(nx=33, nv=9)

@@ -105,3 +105,24 @@ def test_only_profiles_and_field_histories_build_cubic_tables():
             if "_cubic_table" in names:
                 found.add(path.name)
     assert sorted(found) == TABLE_OWNERS
+
+
+# What a lattice read touches has one owner: phase_space states the
+# stencil's read range and which stored values a read sees as nonzero
+# (the bits test, .view(np.int64)).  Direct's live-node scan asks it, so
+# solver restates neither the bits test nor the stencil's clamp.
+def test_only_phase_space_states_what_a_lattice_read_touches():
+    package = Path(vlasov_transport.__file__).parent
+    bit_views, solver_defs = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "view"
+                    and [ast.unparse(a) for a in node.args]
+                    == ["np.int64"]):
+                bit_views.append(path.name)
+            if (path.name == "solver.py"
+                    and isinstance(node, ast.FunctionDef)):
+                solver_defs.append(node.name)
+    assert bit_views == ["phase_space.py"]
+    assert "_clamp" not in solver_defs

@@ -574,6 +574,34 @@ def test_interp_profile_reads_an_empty_query_as_an_empty_result(shape):
                 assert got.shape == shape and got.dtype == np.float64
 
 
+# A NaN query reads NaN, in both kernels, and every other query of the
+# call reads bitwise what it reads without the NaN.
+@pytest.mark.parametrize("monotone", [False, True])
+def test_a_nan_query_reads_nan_and_leaves_the_others_as_they_are(monotone):
+    nan = math.nan
+    values = np.array([0.0, 1.0, -2.0, 0.5, 3.0, 1.0])
+    for out_of_range, xq in (("error", [0.3, nan, 1.0, 4.7, nan, 5.0]),
+                             ("zero", [-1.0, nan, 2.5, 7.0, 0.0])):
+        xq = np.array(xq)
+        known = ~np.isnan(xq)
+        got = interp_profile(0.0, 1.0, values, xq, out_of_range=out_of_range,
+                             monotone=monotone)
+        want = interp_profile(0.0, 1.0, values, xq[known],
+                              out_of_range=out_of_range, monotone=monotone)
+        assert np.isnan(got[~known]).all()
+        assert got[known].tobytes() == want.tobytes()
+    grid = build_phase_grid(0.0, 5.0, 0.0, 4.0, 6, 5)
+    lattice = np.arange(30.0).reshape(6, 5) % 7.0 - 3.0
+    xq = np.array([0.3, nan, 2.0, 4.6, nan, -1.0, 2.5])
+    vq = np.array([1.7, 2.0, nan, 3.9, nan, 1.0, 9.0])
+    known = ~(np.isnan(xq) | np.isnan(vq))
+    got = interp_lattice(grid, lattice, xq, vq, monotone=monotone)
+    want = interp_lattice(grid, lattice, xq[known], vq[known],
+                          monotone=monotone)
+    assert np.isnan(got[~known]).all()
+    assert got[known].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # properties of the tensor-product lattice interpolator
 

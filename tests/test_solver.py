@@ -12,14 +12,15 @@ from vlasov_transport import solver
 from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
 from vlasov_transport.phase_space import (_NODE_SNAP, DensityField,
                                           DomainExitError, InitialDataSpec,
-                                          _stencil, build_phase_grid,
-                                          interp_lattice, sample_initial_data)
+                                          _read_range, _stencil,
+                                          build_phase_grid, interp_lattice,
+                                          sample_initial_data)
 from vlasov_transport.solver import (MajorantResult, SolutionHistory,
                                      advect_density, majorant_existence_time,
                                      solve_direct, solve_picard)
 from vlasov_transport.solver import (_ROUNDING_SLACK, _advect_lattice_step,
-                                     _clamp, _grow_box, _read_offsets,
-                                     _sup_distance, _support_mask)
+                                     _grow_box, _reach_cells, _sup_distance,
+                                     _support_mask)
 
 from lattices import grids, lattices, same_bits
 from oracles import AnalyticFieldHistory
@@ -431,8 +432,8 @@ def test_read_range_holds_every_node_the_stencil_reads(n, monotone, data):
     lo, hi = sorted(data.draw(st.tuples(reach, reach)))
     i = data.draw(st.integers(0, n - 1))
     below, above = (0, 1) if monotone else (1, 2)
-    o_lo, o_hi = _read_offsets(lo, hi, n, below, above)
-    first, last = _clamp(i + o_lo, i + o_hi, n, below + above)
+    c_lo, c_hi = _reach_cells(lo, hi, n)
+    first, last = _read_range(i + c_lo, i + c_hi, n, monotone)
 
     def read(c):
         # interp_lattice clips a query into the lattice before _stencil
