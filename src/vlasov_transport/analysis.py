@@ -455,30 +455,29 @@ class HolderReport:
     time_quotient: np.ndarray
 
 
-def _offset_cells(offsets, spacing: float, limit: int, axis_name: str):
+def _offset_cells(offsets, spacing: float, limit: int):
     cells = []
     for h in offsets:
         m = h / spacing
         m_int = round(m)
         if m_int < 1 or abs(m - m_int) > 1e-6 * max(1.0, abs(m)):
             raise ValueError(
-                f"{axis_name} offset {h} is not a positive multiple of the "
-                f"{axis_name} spacing {spacing}")
+                f"space offset {h} is not a positive multiple of the "
+                f"space spacing {spacing}")
         if m_int > limit:
-            raise ValueError(
-                f"{axis_name} offset {h} exceeds half the {axis_name} extent")
+            raise ValueError(f"space offset {h} exceeds half the space extent")
         cells.append(m_int)
     return cells
 
 
 def holder_quotient(b_levels: Sequence[TransportField], dt: float,
-                    space_offsets=None, time_offsets=None) -> HolderReport:
+                    space_offsets=None) -> HolderReport:
     """Square-root modulus table for a stack of field levels.
 
-    Offsets must be positive multiples of the spacing on their axis and at
-    most half the extent.  Defaults pick dyadic cell counts 1, 2, 4, ...
-    up to half the axis.  The sup for each offset runs jointly over all
-    levels and all valid positions.
+    Space offsets must be positive multiples of dx and at most half the
+    axis; by default, and always in time, the offsets are the dyadic cell
+    counts 1, 2, 4, ... up to half the extent.  The sup for each offset
+    runs jointly over all levels and all valid positions.
     """
     if not b_levels:
         raise ValueError("need at least one field level")
@@ -496,14 +495,9 @@ def holder_quotient(b_levels: Sequence[TransportField], dt: float,
     if space_offsets is None:
         space_cells = dyadic(x_limit)
     else:
-        space_cells = _offset_cells(space_offsets, grid.dx, x_limit, "space")
+        space_cells = _offset_cells(space_offsets, grid.dx, x_limit)
     t_limit = (n_levels - 1) // 2
-    if time_offsets is None:
-        time_cells = dyadic(t_limit) if t_limit >= 1 else []
-    else:
-        if t_limit < 1:
-            raise ValueError("time offsets need at least three levels")
-        time_cells = _offset_cells(time_offsets, dt, t_limit, "time")
+    time_cells = dyadic(t_limit) if t_limit >= 1 else []
 
     hs = np.array([m * grid.dx for m in space_cells])
     h_sup = np.array([float(np.max(np.abs(stack[:, m:] - stack[:, :-m])))

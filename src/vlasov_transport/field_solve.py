@@ -128,7 +128,7 @@ def advance_field(b_t: TransportField, rho_t: MomentProfile,
     initial field B0(y - t).  Without inflow such queries raise.
     """
     shift = _field_shift(b_t, rho_t, dt, inflow=inflow, monotone=monotone)
-    return _finish_field(b_t, shift, rho_next, dt)
+    return _finish_field(shift, rho_next, dt, rho_next.time)
 
 
 def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float,
@@ -152,13 +152,13 @@ def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float,
     return b_shift, rho_t.at(shifted, monotone=monotone)
 
 
-def _finish_field(b_t: TransportField, shift, rho_next: MomentProfile,
-                  dt: float) -> TransportField:
-    """B(t+dt) from _field_shift's pair and the moment at t + dt."""
+def _finish_field(shift, rho_next: MomentProfile, dt: float,
+                  time: float) -> TransportField:
+    """B at the caller's level time from _field_shift's pair and rho_next."""
     b_shift, rho_shift = shift
-    return TransportField(b_t.grid,
+    return TransportField(rho_next.grid,
                           b_shift + 0.5 * dt * (rho_shift + rho_next.values),
-                          b_t.time + dt)
+                          time)
 
 
 @dataclass(frozen=True)

@@ -380,19 +380,20 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     # which each step rewrites to hold the next level.
     lattice = f_k.place(np.zeros((grid.nx, grid.nv)))
     for k in range(n_levels - 1):
-        t = k * dt
+        # The loop owns the level times: t_k = k dt, never a running sum.
+        t, t_next = k * dt, (k + 1) * dt
 
         def inflow(y, _t=t):
             return b0.value(np.asarray(y, dtype=float) - _t)
 
         shift = _field_shift(b_k, rho_k, dt, inflow=inflow, monotone=monotone)
-        b_pred = _finish_field(b_k, shift, rho_k, dt)
+        b_pred = _finish_field(shift, rho_k, dt, t_next)
         step_hist = LatticeFieldHistory(
             grid, np.stack([b_k.values, b_pred.values]), dt, t0=t)
-        f_next, box = _advect_lattice_step(f_k, lattice, box, step_hist, dt,
-                                           monotone)
+        f_next, box = _advect_lattice_step(f_k, lattice, box, step_hist, t,
+                                           t_next, monotone)
         rho_next = density_moment(f_next)
-        b_next = _finish_field(b_k, shift, rho_next, dt)
+        b_next = _finish_field(shift, rho_next, dt, t_next)
         f_levels.append(f_next)
         b_levels.append(b_next)
         f_k, b_k, rho_k = f_next, b_next, rho_next
@@ -472,13 +473,15 @@ def _live_nodes(f_prev: np.ndarray, grid: PhaseGrid, rs: slice, cs: slice,
 
 
 def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
-                         step_hist: LatticeFieldHistory, dt: float,
-                         monotone: bool):
-    """One backward semi-Lagrangian step of the density lattice.
+                         step_hist: LatticeFieldHistory, t: float,
+                         t_next: float, monotone: bool):
+    """One backward semi-Lagrangian step of the density lattice, from
+    f_k at level time t to the next level at t_next.
 
     lattice holds f_k.values on entry; the step clears f_k's block in it
     and places the next level there, so it holds the next level's values
-    on return.  box is f_k's support box.  Returns (next level,
+    on return.  box is f_k's support box.  step_hist spans [t, t_next],
+    and its level spacing is the step's dt.  Returns (next level,
     grown box).  Nodes outside the grown box are set to exactly zero; the
     box grows by the field's largest node value (_grow_box), which the
     cubic interpolant can exceed, so this is not a certified reach.
@@ -487,7 +490,7 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
     read sees as zero (_reads_nonzero), so it reads +0.0; it is left
     +0.0, and the level is bitwise the one a trace of the whole box gives.
     """
-    grid = f_k.grid
+    grid, dt = f_k.grid, step_hist.dt
     new_box = None if box is None else _grow_box(box, dt,
                                                  step_hist.sup_bound())
     selection = None
@@ -498,8 +501,7 @@ def _advect_lattice_step(f_k: DensityField, lattice: np.ndarray, box,
             selection = _live_nodes(lattice, grid, rs, cs, dt,
                                     *step_hist.range_bound(), monotone)
     read = functools.partial(interp_lattice, grid, lattice, monotone=monotone)
-    f_next = _traced_level(grid, selection, f_k.time + dt, f_k.time,
-                           step_hist, 1, read)
+    f_next = _traced_level(grid, selection, t_next, t, step_hist, 1, read)
     lattice[f_k.slices] = 0.0
     f_next.place(lattice)
     return f_next, new_box

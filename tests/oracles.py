@@ -4,8 +4,10 @@ AnalyticFieldHistory is a field history from a formula B(s, x), and
 constant_field_oracle the exact trajectory under a constant field; the
 tracer is checked against both.  full_lattice_diagnostics and
 full_lattice_pde_residual read every density level as its full lattice,
-and the windowed diagnostics must match them bitwise.  No program path
-uses them.
+and the windowed diagnostics must match them bitwise.
+characteristic_accumulator rebuilds every field level of a history from
+one read per moment, and must match field_from_history bitwise.  No
+program path uses them.
 """
 
 from typing import Callable
@@ -48,6 +50,36 @@ def constant_field_oracle(x, v, t: float, s: float, b: float):
     v = np.asarray(v, dtype=float)
     h = s - t
     return x + v * h + 0.5 * b * h * h, v + b * h
+
+
+def characteristic_accumulator(b0: Callable, moments, dt: float):
+    """The node values of B at every level t_k = k dt, k < len(moments).
+
+    p = dx / dt must be a whole number.  Node i at level k lies on the
+    field characteristic with label m = p i - k, on which
+    field_from_history reads moment j at x_min + (m + j) dt.  Each moment
+    is read once at every label, and the reads go into a running sum S
+    in j order, as numpy's axis-0 sum adds the rows.  Level k is then
+    trapezoid_uniform's formula on S, the first read and the k-th.
+    """
+    grid = moments[0].grid
+    p = round(grid.dx / dt)
+    if p < 1 or p * dt != grid.dx:
+        raise ValueError(f"dx / dt = {grid.dx / dt} is not a whole number")
+    m_lo = -(len(moments) - 1)
+    labels = np.arange(m_lo, p * (grid.nx - 1) + 1)
+    x = grid.x_nodes
+    levels = [b0(x)]
+    for j, moment in enumerate(moments):
+        read = moment.at(grid.x_min + (labels + j) * dt)
+        if j == 0:
+            first, total = read, read.copy()
+            continue
+        total += read
+        ii = p * np.arange(grid.nx) - j - m_lo
+        levels.append(b0(x - j * dt)
+                      + dt * (total[ii] - 0.5 * (first[ii] + read[ii])))
+    return levels
 
 
 def full_lattice_diagnostics(solution) -> DiagnosticsTrace:

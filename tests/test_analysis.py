@@ -400,5 +400,3 @@ def test_holder_quotient_offset_validation():
         holder_quotient([b], 0.1, space_offsets=[0.0])
     with pytest.raises(ValueError):
         holder_quotient([b], 0.1, space_offsets=[grid.dx * 8])
-    with pytest.raises(ValueError):
-        holder_quotient([b, b], 0.1, time_offsets=[0.1])

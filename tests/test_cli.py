@@ -253,6 +253,26 @@ def test_run_scenario_artifacts(tmp_path):
     assert t_snap == 0.25
 
 
+def test_direct_snapshot_headers_carry_k_dt(tmp_path):
+    # at dt = 0.01 a running sum of dt would give level 50 the time
+    # 0.5000000000000002; the header carries 50 * 0.01 = 0.5
+    levels = (0, 6, 29, 50)
+    cfg = parse_config(f"""
+    nx = 33
+    nv = 33
+    dt = 0.01
+    T = 0.5
+    engine = direct
+    snapshot_times = {", ".join(str(k * 0.01) for k in levels)}
+    """)
+    run_scenario(cfg, out_dir=tmp_path)
+    for k in levels:
+        for kind in ("f", "b"):
+            _, t_snap = read_snapshot(
+                tmp_path / f"snapshot_direct_{kind}_level{k}.snap")
+            assert t_snap == k * 0.01, (kind, k)
+
+
 # The header line of every CSV table a run can write.
 CSV_HEADERS = {
     "diagnostics.csv": "engine,time,density_sup,field_sup,field_min,"

@@ -18,7 +18,10 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           _cubic_table, build_phase_grid,
                                           interp_profile, sample_initial_data)
 
+from vlasov_transport.solver import solve_picard
+
 from lattices import grids, lattices, same_bits
+from oracles import characteristic_accumulator
 
 # B^1 for a free-streamed default bump (B0 = 0), from an independent dense
 # double quadrature of the line-integral representation.  Quadrature error
@@ -213,6 +216,26 @@ def test_free_streaming_field_matches_double_quadrature_oracle():
         node = np.argmin(np.abs(grid.x_nodes - x))
         assert abs(grid.x_nodes[node] - x) < 1e-12
         assert b.values[node] == pytest.approx(expected, abs=5e-5)
+
+
+@pytest.mark.parametrize("n, t_final, p", [(65, 1.0, 6), (257, 0.25, 6),
+                                          (65, 0.5, 12)])
+def test_characteristic_accumulator_is_bitwise_field_from_history(
+        n, t_final, p):
+    # one read per moment summed in j order gives every field level of a
+    # converged Picard history, bit for bit, on these dyadic steps
+    spec = InitialDataSpec()
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, n, n)
+    dt = grid.dx / p
+    history, trace = solve_picard(spec, grid, t_final, dt)
+    assert trace.converged
+    moments = [density_moment(f) for f in history.f_levels]
+    b0 = spec.field().value
+    levels = characteristic_accumulator(b0, moments, dt)
+    assert len(levels) == len(moments) == 65
+    for k, values in enumerate(levels):
+        want = field_from_history(b0, moments[:k + 1], k * dt)
+        assert values.tobytes() == want.values.tobytes(), k
 
 
 def test_advance_field_composition_matches_representation():

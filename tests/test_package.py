@@ -126,3 +126,23 @@ def test_only_phase_space_states_what_a_lattice_read_touches():
                 solver_defs.append(node.name)
     assert bit_views == ["phase_space.py"]
     assert "_clamp" not in solver_defs
+
+
+# A level's time has one owner: the engine loop stamps level k with
+# k * dt.  No module works a level's time out from another level's
+# (f.time + dt): a running sum drifts off k * dt in the last bits.
+def test_no_level_time_is_a_running_sum():
+    package = Path(vlasov_transport.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                operands = (node.left, node.right)
+            elif (isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.Add)):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if any(getattr(o, "attr", None) == "time" for o in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -367,6 +367,21 @@ def test_solution_history_shape_and_times():
         SolutionHistory(grid, 0.05, (), ())
 
 
+@pytest.mark.parametrize("dt", [0.01, 1.0 / 64.0])
+def test_every_level_is_stamped_k_dt(dt):
+    # the engine loop owns a level's time: k * dt exactly, also where a
+    # running sum of dt drifts off it (dt = 0.01 from level 6 on)
+    spec = InitialDataSpec()
+    grid = _grid()
+    direct = solve_direct(spec, grid, 0.5, dt)
+    picard, _ = solve_picard(spec, grid, 0.5, dt)
+    for history in (direct, picard):
+        want = [k * dt for k in range(history.n_levels)]
+        assert [f.time for f in history.f_levels] == want
+        assert [b.time for b in history.b_levels] == want
+        assert list(history.times) == want
+
+
 def test_field_history_roundtrip_is_bitwise():
     spec = InitialDataSpec()
     grid = _grid(nx=17, nv=9)
@@ -539,10 +554,10 @@ def test_advect_density_traces_exactly_the_kept_nodes(monkeypatch, b, t):
     assert traced == ([kept] if kept else [])
 
 
-def _whole_box_step(f, box, step_hist, dt, monotone):
+def _whole_box_step(f, box, step_hist, t, t_next, monotone):
     # the step with every node of the grown box traced
     grid = f.grid
-    new_box = _grow_box(box, dt, step_hist.sup_bound())
+    new_box = _grow_box(box, step_hist.dt, step_hist.sup_bound())
     (x_lo, x_hi), (v_lo, v_hi) = new_box
     mask = (((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi))[:, None]
             & ((grid.v_nodes >= v_lo) & (grid.v_nodes <= v_hi))[None, :])
@@ -550,7 +565,7 @@ def _whole_box_step(f, box, step_hist, dt, monotone):
     if mask.any():
         xg = np.broadcast_to(grid.x_nodes[:, None], mask.shape)[mask]
         vg = np.broadcast_to(grid.v_nodes[None, :], mask.shape)[mask]
-        xf, vf = trace_states(xg, vg, f.time + dt, f.time, step_hist, 1)
+        xf, vf = trace_states(xg, vg, t_next, t, step_hist, 1)
         values[mask] = interp_lattice(grid, f.values, xf, vf,
                                       monotone=monotone)
     return values, new_box
@@ -576,15 +591,16 @@ def test_lattice_step_is_bitwise_a_trace_of_the_whole_box(
     box = spec.density().support
     lattice = np.array(f.values)
     for k in range(steps):
-        t = k * dt
+        t, t_next = k * dt, (k + 1) * dt
         step_hist = LatticeFieldHistory(
             grid, np.stack([b0.value(grid.x_nodes - t),
                             b0.value(grid.x_nodes - t - dt)]), dt, t0=t)
         try:
-            want, want_box = _whole_box_step(f, box, step_hist, dt, monotone)
+            want, want_box = _whole_box_step(f, box, step_hist, t, t_next,
+                                             monotone)
         except DomainExitError:
             return   # the box left the axis; a pruned step need not abort
-        f, box = _advect_lattice_step(f, lattice, box, step_hist, dt,
+        f, box = _advect_lattice_step(f, lattice, box, step_hist, t, t_next,
                                       monotone)
         assert box == want_box
         assert f.values.tobytes() == want.tobytes()
