@@ -111,8 +111,7 @@ class LatticeFieldHistory:
             table = _cubic_table((1.0 - theta) * self.values[k]
                                  + theta * self.values[k + 1])
         try:
-            return interp_profile(self.grid.x_min, self.grid.dx, None, x,
-                                  table=table)
+            return interp_profile(self.grid.x_min, self.grid.dx, table, x)
         except DomainExitError as exc:
             raise DomainExitError(f"{exc} at t = {s:.6g}") from exc
 

@@ -11,14 +11,14 @@ spatial derivative of the density.  All time integrals here use the
 composite trapezoid rule on the uniform level spacing; spatial evaluation
 between nodes uses the cubic lattice interpolation from phase_space.
 Moment profiles read as zero outside their axis (they inherit the
-density's compact support); the initial field is a closed-form callable,
-defined everywhere.
+density's compact support); the initial field is closed-form and defined
+everywhere, so it is also the field's inflow at the left edge of the axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +65,8 @@ class MomentProfile(_Profile):
 
     def at(self, x, monotone: bool = False):
         # Zero outside the axis: the moment inherits compact support.
-        return interp_profile(self.grid.x_min, self.grid.dx, None, x,
-                              out_of_range="zero", monotone=monotone,
-                              table=self._table)
+        return interp_profile(self.grid.x_min, self.grid.dx, self._table, x,
+                              out_of_range="zero", monotone=monotone)
 
 
 def density_moment(f: DensityField) -> MomentProfile:
@@ -113,8 +112,7 @@ def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
 
 
 def advance_field(b_t: TransportField, rho_t: MomentProfile,
-                  rho_next: MomentProfile, dt: float,
-                  inflow: Callable | None = None,
+                  rho_next: MomentProfile, dt: float, b0,
                   monotone: bool = False) -> TransportField:
     """One transport step of the field:
 
@@ -122,33 +120,30 @@ def advance_field(b_t: TransportField, rho_t: MomentProfile,
 
     Composing steps from t = 0 reproduces field_from_history exactly when
     dt is a whole number of cells (the shifted points then land on nodes).
-    x - dt drops off the left edge of the axis for the first few nodes;
-    inflow(y) must supply B(t, y) there.  In a properly truncated domain
-    the moment vanishes near the edge, so inflow is the transported
-    initial field B0(y - t).  Without inflow such queries raise.
+    x - dt drops off the left edge of the axis for the first few nodes.
+    The moment vanishes there on a truncated axis, so the representation
+    leaves B(t, y) = B0(y - t) as the only inflow: those nodes read the
+    initial field family b0.
     """
-    shift = _field_shift(b_t, rho_t, dt, inflow=inflow, monotone=monotone)
+    shift = _field_shift(b_t, rho_t, dt, b0, monotone=monotone)
     return _finish_field(shift, rho_next, dt, rho_next.time)
 
 
-def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float,
-                 inflow: Callable | None = None, monotone: bool = False):
+def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float, b0,
+                 monotone: bool = False):
     """(B(t, x-dt), rho(t, x-dt)) on the nodes: the part of advance_field
-    that does not read rho(t+dt), for callers that finish it twice."""
+    that does not read rho(t+dt), for callers that finish it twice.  Left
+    of the axis B(t, y) is the inflow b0.value(y - t)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = b_t.grid
     shifted = grid.x_nodes - dt
-    if inflow is None:
-        b_shift = b_t.at(shifted, monotone=monotone)
-    else:
-        # The shifted nodes increase: those that read the inflow come first.
-        split = np.searchsorted(shifted,
-                                grid.x_min - 1e-12 * max(1.0, grid.dx))
-        b_shift = np.empty_like(shifted)
-        b_shift[:split] = inflow(shifted[:split])
-        b_shift[split:] = b_t.at(np.clip(shifted[split:], grid.x_min, None),
-                                 monotone=monotone)
+    # The shifted nodes increase: those that read the inflow come first.
+    split = np.searchsorted(shifted, grid.x_min - 1e-12 * max(1.0, grid.dx))
+    b_shift = np.empty_like(shifted)
+    b_shift[:split] = b0.value(shifted[:split] - b_t.time)
+    b_shift[split:] = b_t.at(np.clip(shifted[split:], grid.x_min, None),
+                             monotone=monotone)
     return b_shift, rho_t.at(shifted, monotone=monotone)
 
 

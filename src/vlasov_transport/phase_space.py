@@ -16,10 +16,11 @@ It reproduces polynomials of degree <= 3 per axis exactly and returns the
 stored value bitwise when queried at a node.  Profiles are evaluated in
 per-cell power form: an (n, 4) table of cubic coefficients, built from
 finite differences of the node values, turns every query into one cell
-lookup, one gather of the cell's row and Horner's rule.  The table is
-built once per profile: a moment profile builds it on its first lookup
-and keeps it, a field profile, looked up once, builds it per lookup,
-and a field history builds the tables of its whole stack in one call.
+lookup, one gather of the cell's row and Horner's rule.  interp_profile
+reads a table alone, and every lookup passes its owner's: a moment
+profile builds its table on its first lookup and keeps it, a field
+profile, looked up once, builds it per lookup, and a field history
+builds the tables of its whole stack in one call.
 Lattices keep the Lagrange weights per query, gathered from the
 flattened lattice, since a 16-coefficient table per cell would cost
 more to build than it saves.
@@ -289,8 +290,8 @@ class TransportField(_Profile):
     def at(self, x, monotone: bool = False):
         # An error outside the axis.  Each level is looked up once, so its
         # table is not kept: that would cost every stored level 4n floats.
-        return interp_profile(self.grid.x_min, self.grid.dx, self.values, x,
-                              monotone=monotone)
+        return interp_profile(self.grid.x_min, self.grid.dx,
+                              _cubic_table(self.values), x, monotone=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -634,25 +635,15 @@ def _cubic_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
-                   out_of_range: str = "error", monotone: bool = False,
-                   table: np.ndarray | None = None):
+def interp_profile(x0: float, dx: float, table: np.ndarray, xq,
+                   out_of_range: str = "error", monotone: bool = False):
     """Cubic interpolation of a 1D profile at query points xq.
 
+    table: the profile's _cubic_table, from its owner (a field level, a
+    moment level or a field history); the node values are its column a0.
     out_of_range: "error" raises DomainExitError, "zero" reads 0 outside.
-    table: the caller's cached _cubic_table of the profile, for a profile
-    that is looked up more than once.  Pass either values or table: the
-    node values are the table's column a0, and the table is built from
-    values when omitted.
     """
-    if table is not None:
-        if values is not None:
-            raise ValueError("pass the profile's values or its table, "
-                             "not both")
-        values = table[:, 0]
-    elif values is None:
-        raise ValueError("pass the profile's values or its table")
-    values = np.asarray(values, dtype=float)
+    values = table[:, 0]
     n = values.shape[0]
     xq = np.asarray(xq, dtype=float)
     q = xq.reshape(-1)
@@ -683,8 +674,6 @@ def interp_profile(x0: float, dx: float, values: np.ndarray | None, xq,
         np.fmax(cell, 0.0, out=cell)
     cell = cell.astype(np.int64)
     # Horner on one gather of the cells' rows.
-    if table is None:
-        table = _cubic_table(values)
     rows = table.take(cell, axis=0)
     out = rows[:, 3] * t
     out += rows[:, 2]

@@ -382,11 +382,7 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     for k in range(n_levels - 1):
         # The loop owns the level times: t_k = k dt, never a running sum.
         t, t_next = k * dt, (k + 1) * dt
-
-        def inflow(y, _t=t):
-            return b0.value(np.asarray(y, dtype=float) - _t)
-
-        shift = _field_shift(b_k, rho_k, dt, inflow=inflow, monotone=monotone)
+        shift = _field_shift(b_k, rho_k, dt, b0, monotone=monotone)
         b_pred = _finish_field(shift, rho_k, dt, t_next)
         step_hist = LatticeFieldHistory(
             grid, np.stack([b_k.values, b_pred.values]), dt, t0=t)

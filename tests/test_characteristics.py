@@ -165,7 +165,8 @@ def test_lattice_history_blend_matches_two_level_form(values, theta, k, xq):
     pos = k + theta
     got = hist.eval(0.25 * pos, xq)
     # one lookup of the blended row against the blend of two lookups
-    lower, upper = (interp_profile(grid.x_min, grid.dx, values[j], xq)
+    lower, upper = (interp_profile(grid.x_min, grid.dx,
+                                   _cubic_table(values[j]), xq)
                     for j in (k, k + 1))
     want = (1.0 - (pos - k)) * lower + (pos - k) * upper
     # relative rounding, floored at the resolution of the values: each
@@ -211,7 +212,7 @@ def test_lattice_history_eval_in_any_order_is_one_blended_lookup(levels, nx,
             row = values[k + int(theta)]
         else:
             row = (1.0 - theta) * values[k] + theta * values[k + 1]
-        want = interp_profile(grid.x_min, grid.dx, row, xq)
+        want = interp_profile(grid.x_min, grid.dx, _cubic_table(row), xq)
         assert got.tobytes() == want.tobytes()
 
 
@@ -283,7 +284,7 @@ def test_lattice_history_reads_the_last_level_table():
     upper = np.array([-0.0, -0.0, -1.0, -0.5, -0.0, 0.25, -0.0, -0.0, -0.0])
     hist = LatticeFieldHistory(grid, np.stack([np.ones(9), upper]), 0.5)
     xq = np.concatenate([grid.x_nodes, np.linspace(0.0, 1.0, 23)])
-    want = interp_profile(grid.x_min, grid.dx, upper, xq)
+    want = interp_profile(grid.x_min, grid.dx, _cubic_table(upper), xq)
     assert hist.eval(0.5, xq).tobytes() == want.tobytes()
 
 

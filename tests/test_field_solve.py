@@ -15,6 +15,7 @@ from vlasov_transport.field_solve import (BoundReport, MomentProfile,
 from vlasov_transport.phase_space import (BumpDensity, BumpField,
                                           DensityField, DomainExitError,
                                           InitialDataSpec, TransportField,
+                                          UniformField, ZeroField,
                                           _cubic_table, build_phase_grid,
                                           interp_profile, sample_initial_data)
 
@@ -87,6 +88,7 @@ def test_moment_profile_reads_zero_outside():
 def test_profile_lookups_match_interp_profile(nx, monotone, data):
     grid = build_phase_grid(-2.0, 3.0, -1.0, 1.0, nx, 4)
     values = data.draw(arrays(np.float64, nx, elements=st.floats(-1e3, 1e3)))
+    table = _cubic_table(values)
     rho = MomentProfile(grid, values, 0.5)
     b = TransportField(grid, values, 0.5)
     # queries on and off the axis: off it the moment reads zero and the
@@ -95,12 +97,12 @@ def test_profile_lookups_match_interp_profile(nx, monotone, data):
         xq = data.draw(arrays(np.float64, st.integers(1, 30),
                               elements=st.floats(-3.0, 4.0)))
         got = rho.at(xq, monotone=monotone)
-        want = interp_profile(grid.x_min, grid.dx, values, xq,
+        want = interp_profile(grid.x_min, grid.dx, table, xq,
                               out_of_range="zero", monotone=monotone)
         assert got.tobytes() == want.tobytes()
         xq = np.clip(xq, grid.x_min, grid.x_max)
         got = b.at(xq, monotone=monotone)
-        want = interp_profile(grid.x_min, grid.dx, values, xq,
+        want = interp_profile(grid.x_min, grid.dx, table, xq,
                               monotone=monotone)
         assert got.tobytes() == want.tobytes()
     with pytest.raises(DomainExitError):
@@ -255,20 +257,29 @@ def test_advance_field_composition_matches_representation():
     moments = [moment_at(k * dt) for k in range(steps + 1)]
     b = TransportField(grid, b0.value(grid.x_nodes), 0.0)
     for k in range(steps):
-        inflow = lambda y, _t=k * dt: b0.value(np.asarray(y) - _t)
-        b = advance_field(b, moments[k], moments[k + 1], dt, inflow=inflow)
+        b = advance_field(b, moments[k], moments[k + 1], dt, b0)
     reference = field_from_history(b0.value, moments, steps * dt)
     assert np.max(np.abs(b.values - reference.values)) <= 1e-12
     assert b.time == pytest.approx(steps * dt)
 
 
-def test_advance_field_requires_inflow_at_the_left_edge():
+def test_advance_field_reads_the_transported_b0_left_of_the_axis():
+    # With zero moments a step is the shift alone: the nodes whose x - dt
+    # leaves the axis read the inflow B0(x - dt - t), bitwise.
     grid = _grid(nx=17, nv=4)
+    dt, t = 0.5, 0.75
+    b0 = BumpField(0.5, 5.0)
+    rho = MomentProfile(grid, np.zeros(grid.nx), t)
+    rho_next = MomentProfile(grid, np.zeros(grid.nx), t + dt)
+    b = TransportField(grid, b0.value(grid.x_nodes - t), t)
+    stepped = advance_field(b, rho, rho_next, dt, b0)
+    left = grid.x_nodes - dt < grid.x_min
+    assert left.sum() == 2
+    want = b0.value(grid.x_nodes[left] - dt - t)
+    assert stepped.values[left].tobytes() == want.tobytes()
     rho = MomentProfile(grid, np.zeros(grid.nx), 0.0)
     b = TransportField(grid, np.ones(grid.nx), 0.0)
-    with pytest.raises(DomainExitError):
-        advance_field(b, rho, rho, 0.1)
-    stepped = advance_field(b, rho, rho, 0.1, inflow=lambda y: np.ones_like(y))
+    stepped = advance_field(b, rho, rho, 0.1, UniformField(1.0))
     np.testing.assert_allclose(stepped.values, 1.0, atol=1e-14)
 
 
@@ -277,7 +288,7 @@ def test_advance_field_rejects_bad_dt():
     rho = MomentProfile(grid, np.zeros(9), 0.0)
     b = TransportField(grid, np.zeros(9), 0.0)
     with pytest.raises(ValueError):
-        advance_field(b, rho, rho, 0.0)
+        advance_field(b, rho, rho, 0.0, ZeroField())
 
 
 def test_field_derivative_rep_zero_density():

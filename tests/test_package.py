@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -105,6 +106,30 @@ def test_only_profiles_and_field_histories_build_cubic_tables():
             if "_cubic_table" in names:
                 found.add(path.name)
     assert sorted(found) == TABLE_OWNERS
+
+
+# Every cubic profile lookup reads its owner's table: interp_profile takes
+# the table alone, and only the three profile owners reach it.
+PROFILE_OWNERS = ["LatticeFieldHistory.eval", "MomentProfile.at",
+                  "TransportField.at"]
+
+
+def test_every_profile_lookup_reads_its_owners_table():
+    phase_space = importlib.import_module("vlasov_transport.phase_space")
+    params = inspect.signature(phase_space.interp_profile).parameters
+    assert list(params)[:4] == ["x0", "dx", "table", "xq"]
+    package = Path(vlasov_transport.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                if any("interp_profile" in (getattr(n, "id", None),
+                                            getattr(n, "attr", None))
+                       for n in ast.walk(node)):
+                    name = getattr(node, "name", f"line {node.lineno}")
+                    found.append(name if top is node else f"{top.name}.{name}")
+    assert sorted(found) == PROFILE_OWNERS
 
 
 # What a lattice read touches has one owner: phase_space states the

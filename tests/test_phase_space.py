@@ -363,32 +363,33 @@ def test_cubic_reproduction_on_profile():
     # 4-point stencils must reproduce any cubic exactly; frozen oracle value
     # p(3.37) computed from the closed form.
     p = lambda x: 2 * x**3 - x**2 + 0.5 * x - 3.0
-    values = p(np.arange(9.0))
-    got = interp_profile(0.0, 1.0, values, 3.37)
+    table = _cubic_table(p(np.arange(9.0)))
+    got = interp_profile(0.0, 1.0, table, 3.37)
     assert got == pytest.approx(63.87360600000001, abs=1e-12)
     queries = np.array([0.123, 1.77, 4.5, 6.999, 7.3])
-    np.testing.assert_allclose(interp_profile(0.0, 1.0, values, queries),
+    np.testing.assert_allclose(interp_profile(0.0, 1.0, table, queries),
                                p(queries), rtol=0, atol=1e-11)
 
 
 def test_node_queries_are_bitwise():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(12)
+    table = _cubic_table(values)
     nodes = 0.25 * np.arange(12.0) - 1.0
-    got = interp_profile(-1.0, 0.25, values, nodes)
+    got = interp_profile(-1.0, 0.25, table, nodes)
     assert np.array_equal(got, values)
     # and through float noise smaller than the snap width
     noisy = nodes + 1e-11
-    assert np.array_equal(interp_profile(-1.0, 0.25, values, noisy), values)
+    assert np.array_equal(interp_profile(-1.0, 0.25, table, noisy), values)
 
 
 def test_profile_out_of_range_conventions():
-    values = np.ones(8)
+    table = _cubic_table(np.ones(8))
     with pytest.raises(DomainExitError):
-        interp_profile(0.0, 1.0, values, 7.5)
+        interp_profile(0.0, 1.0, table, 7.5)
     with pytest.raises(DomainExitError):
-        interp_profile(0.0, 1.0, values, -0.2)
-    got = interp_profile(0.0, 1.0, values, np.array([-0.5, 3.0, 9.0]),
+        interp_profile(0.0, 1.0, table, -0.2)
+    got = interp_profile(0.0, 1.0, table, np.array([-0.5, 3.0, 9.0]),
                          out_of_range="zero")
     np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
 
@@ -400,7 +401,8 @@ def test_profile_interp_order():
     for n in (33, 65, 129):
         x = np.linspace(0.0, 2.0, n)
         q = np.linspace(0.05, 1.95, 1001)
-        err = np.max(np.abs(interp_profile(0.0, x[1] - x[0], f(x), q) - f(q)))
+        got = interp_profile(0.0, x[1] - x[0], _cubic_table(f(x)), q)
+        err = np.max(np.abs(got - f(q)))
         errors.append(err)
     orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
     assert min(orders) >= 3.9
@@ -432,14 +434,15 @@ def test_lattice_node_queries_are_bitwise():
 def test_monotone_clip_profile():
     # overshooting data: a sharp step makes plain cubics ring
     values = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    table = _cubic_table(values)
     q = np.linspace(0.0, 5.0, 101)
-    plain = interp_profile(0.0, 1.0, values, q)
-    clipped = interp_profile(0.0, 1.0, values, q, monotone=True)
+    plain = interp_profile(0.0, 1.0, table, q)
+    clipped = interp_profile(0.0, 1.0, table, q, monotone=True)
     assert plain.min() < -1e-3 and plain.max() > 1.0 + 1e-3
     assert clipped.min() >= 0.0 and clipped.max() <= 1.0
     # clip keeps node queries bitwise
     assert np.array_equal(
-        interp_profile(0.0, 1.0, values, np.arange(6.0), monotone=True),
+        interp_profile(0.0, 1.0, table, np.arange(6.0), monotone=True),
         values)
 
 
@@ -477,7 +480,7 @@ def _lagrange_profile(x0, dx, values, xq):
 @given(node_values, origins, spacings, cell_fractions)
 def test_profile_kernel_matches_lagrange_form(values, x0, dx, fractions):
     xq = x0 + dx * (fractions * (values.size - 1))
-    got = interp_profile(x0, dx, values, xq)
+    got = interp_profile(x0, dx, _cubic_table(values), xq)
     want = _lagrange_profile(x0, dx, values, xq)
     scale = np.max(np.abs(values))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -496,7 +499,7 @@ def test_profile_kernel_reproduces_cubics(n, coeffs, fractions):
     nearest = np.rint(xq)
     snapped = np.where(np.abs(xq - nearest) <= _NODE_SNAP, nearest, xq)
     tol = 1e-12 * (1.0 + np.max(np.abs(values)))
-    got = interp_profile(0.0, 1.0, values, xq)
+    got = interp_profile(0.0, 1.0, _cubic_table(values), xq)
     assert np.max(np.abs(got - p(snapped))) <= tol
 
 
@@ -509,13 +512,14 @@ def test_profile_kernel_node_queries_are_bitwise(values, x0, dx, data):
     noise = data.draw(arrays(np.float64, n, elements=st.floats(
         -0.5 * _NODE_SNAP, 0.5 * _NODE_SNAP)))
     noise[0], noise[-1] = abs(noise[0]), -abs(noise[-1])
+    table = _cubic_table(values)
     nodes = x0 + dx * np.arange(float(n))
-    assert np.array_equal(interp_profile(x0, dx, values, nodes), values)
+    assert np.array_equal(interp_profile(x0, dx, table, nodes), values)
     noisy = x0 + dx * (np.arange(float(n)) + noise)
-    assert np.array_equal(interp_profile(x0, dx, values, noisy), values)
+    assert np.array_equal(interp_profile(x0, dx, table, noisy), values)
     last = x0 + dx * (n - 1)
-    assert interp_profile(x0, dx, values, last) == values[-1]
-    assert interp_profile(x0, dx, values, last, monotone=True) == values[-1]
+    assert interp_profile(x0, dx, table, last) == values[-1]
+    assert interp_profile(x0, dx, table, last, monotone=True) == values[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,14 +527,15 @@ def test_profile_kernel_node_queries_are_bitwise(values, x0, dx, data):
 def test_profile_kernel_monotone_stays_in_cell_range(values, x0, dx,
                                                      fractions):
     n = values.size
+    table = _cubic_table(values)
     xq = x0 + dx * (fractions * (n - 1))
-    got = interp_profile(x0, dx, values, xq, monotone=True)
+    got = interp_profile(x0, dx, table, xq, monotone=True)
     cell = np.clip(np.floor((xq - x0) / dx), 0, n - 2).astype(int)
     lo = np.minimum(values[cell], values[cell + 1])
     hi = np.maximum(values[cell], values[cell + 1])
     assert np.all((lo <= got) & (got <= hi))
     # and it is the plain cubic clipped, nothing more
-    plain = interp_profile(x0, dx, values, xq)
+    plain = interp_profile(x0, dx, table, xq)
     assert np.array_equal(got, np.clip(plain, lo, hi))
 
 
@@ -546,32 +551,29 @@ def test_cubic_table_of_a_stack_is_the_stack_of_tables(levels, n, data):
 
 
 def test_interp_profile_reads_node_values_from_a_given_table():
+    # The node values a lookup reads (a query on a node, the corners of
+    # the monotone clip) are the table's column a0, bitwise.
     values = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
-    xq = np.array([0.3, 1.0, 2.7, 4.0])
+    xq = np.array([0.3, 1.0, 2.7, 3.0])
     table = _cubic_table(values)
-    for monotone in (False, True):
-        want = interp_profile(0.0, 1.0, values, xq, monotone=monotone)
-        got = interp_profile(0.0, 1.0, None, xq, monotone=monotone,
-                             table=table)
-        assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="not both"):
-        interp_profile(0.0, 1.0, values, xq, table=table)
-    with pytest.raises(ValueError, match="values or its table$"):
-        interp_profile(0.0, 1.0, None, xq)
+    plain = interp_profile(0.0, 1.0, table, xq)
+    assert plain[[1, 3]].tobytes() == values[[1, 3]].tobytes()
+    cell = np.floor(xq).astype(int)
+    lo = np.minimum(values[cell], values[cell + 1])
+    hi = np.maximum(values[cell], values[cell + 1])
+    got = interp_profile(0.0, 1.0, table, xq, monotone=True)
+    assert got.tobytes() == np.clip(plain, lo, hi).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
 def test_interp_profile_reads_an_empty_query_as_an_empty_result(shape):
-    values = np.array([0.0, 1.0, -2.0, 0.5, 3.0])
-    table = _cubic_table(values)
+    table = _cubic_table(np.array([0.0, 1.0, -2.0, 0.5, 3.0]))
     xq = np.empty(shape)
-    for profile in ({"values": values}, {"values": None, "table": table}):
-        for out_of_range in ("error", "zero"):
-            for monotone in (False, True):
-                got = interp_profile(0.0, 1.0, xq=xq,
-                                     out_of_range=out_of_range,
-                                     monotone=monotone, **profile)
-                assert got.shape == shape and got.dtype == np.float64
+    for out_of_range in ("error", "zero"):
+        for monotone in (False, True):
+            got = interp_profile(0.0, 1.0, table, xq,
+                                 out_of_range=out_of_range, monotone=monotone)
+            assert got.shape == shape and got.dtype == np.float64
 
 
 # A NaN query reads NaN, in both kernels, and every other query of the
@@ -579,14 +581,14 @@ def test_interp_profile_reads_an_empty_query_as_an_empty_result(shape):
 @pytest.mark.parametrize("monotone", [False, True])
 def test_a_nan_query_reads_nan_and_leaves_the_others_as_they_are(monotone):
     nan = math.nan
-    values = np.array([0.0, 1.0, -2.0, 0.5, 3.0, 1.0])
+    table = _cubic_table(np.array([0.0, 1.0, -2.0, 0.5, 3.0, 1.0]))
     for out_of_range, xq in (("error", [0.3, nan, 1.0, 4.7, nan, 5.0]),
                              ("zero", [-1.0, nan, 2.5, 7.0, 0.0])):
         xq = np.array(xq)
         known = ~np.isnan(xq)
-        got = interp_profile(0.0, 1.0, values, xq, out_of_range=out_of_range,
+        got = interp_profile(0.0, 1.0, table, xq, out_of_range=out_of_range,
                              monotone=monotone)
-        want = interp_profile(0.0, 1.0, values, xq[known],
+        want = interp_profile(0.0, 1.0, table, xq[known],
                               out_of_range=out_of_range, monotone=monotone)
         assert np.isnan(got[~known]).all()
         assert got[known].tobytes() == want.tobytes()

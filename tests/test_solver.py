@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import vlasov_transport
 from vlasov_transport import solver
 from vlasov_transport.characteristics import LatticeFieldHistory, trace_states
+from vlasov_transport.field_solve import advance_field, density_moment
 from vlasov_transport.phase_space import (_NODE_SNAP, DensityField,
                                           DomainExitError, InitialDataSpec,
                                           _read_range, _stencil,
@@ -380,6 +381,28 @@ def test_every_level_is_stamped_k_dt(dt):
         assert [f.time for f in history.f_levels] == want
         assert [b.time for b in history.b_levels] == want
         assert list(history.times) == want
+
+
+@pytest.mark.parametrize("spec, grid, t_final, dt, monotone", [
+    (InitialDataSpec(), _grid(), 0.5, _grid().dx / 6.0, False),
+    (InitialDataSpec(f0_center_v=2.0, f0_width=0.5),
+     build_phase_grid(-2.5, 9.5, 0.25, 5.25, 65, 65), 1.0, 1.0 / 64.0,
+     True),
+])
+def test_direct_field_levels_are_advance_field_steps(spec, grid, t_final, dt,
+                                                     monotone):
+    # Direct finishes each step's shift twice, but its stored level is the
+    # public one-step update from the level before, bitwise
+    history = solve_direct(spec, grid, t_final, dt, monotone=monotone)
+    b0 = spec.field()
+    for k in range(history.n_levels - 1):
+        want = advance_field(history.b_levels[k],
+                             density_moment(history.f_levels[k]),
+                             density_moment(history.f_levels[k + 1]), dt, b0,
+                             monotone)
+        got = history.b_levels[k + 1]
+        assert got.time == want.time
+        assert got.values.tobytes() == want.values.tobytes(), k
 
 
 def test_field_history_roundtrip_is_bitwise():
