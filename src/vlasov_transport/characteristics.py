@@ -78,14 +78,21 @@ class LatticeFieldHistory:
         On a cell row, |p(t) - a0| <= |a1| + |a2| + |a3| for t in [0, 1].
         A blend at any other theta is a pointwise convex combination of
         two level interpolants, so the rows of the tables bound it too.
-        Worked out on the first call, from the tables built already.
+        Worked out on the first call, reading each table in place: the
+        wobble is summed column by column into one array of a column's
+        size, in a row sum's order, and a NaN anywhere reaches both ends.
         """
         if self._range is None:
-            rows = np.concatenate([self._tables.reshape(-1, 4),
-                                   self._half_tables.reshape(-1, 4)])
-            wobble = np.abs(rows[:, 1:]).sum(axis=1)
-            self._range = (float(np.min(rows[:, 0] - wobble)),
-                           float(np.max(rows[:, 0] + wobble)))
+            los, his = [], []
+            for table in (self._tables, self._half_tables):
+                if table.size == 0:     # the half table of a single level
+                    continue
+                wobble = np.abs(table[..., 1])
+                wobble += np.abs(table[..., 2])
+                wobble += np.abs(table[..., 3])
+                los.append(np.min(table[..., 0] - wobble))
+                his.append(np.max(table[..., 0] + wobble))
+            self._range = float(np.min(los)), float(np.max(his))
         return self._range
 
     def eval(self, s: float, x):

@@ -6,8 +6,10 @@ tracer is checked against both.  full_lattice_diagnostics and
 full_lattice_pde_residual read every density level as its full lattice,
 and the windowed diagnostics must match them bitwise.
 characteristic_accumulator rebuilds every field level of a history from
-one read per moment, and must match field_from_history bitwise.  No
-program path uses them.
+one read per moment, and must match field_from_history bitwise.
+concatenated_range_bound is LatticeFieldHistory.range_bound's row-sum
+formula over one copy of both tables, which the in-place bound must
+match bitwise.  No program path uses them.
 """
 
 from typing import Callable
@@ -50,6 +52,20 @@ def constant_field_oracle(x, v, t: float, s: float, b: float):
     v = np.asarray(v, dtype=float)
     h = s - t
     return x + v * h + 0.5 * b * h * h, v + b * h
+
+
+def concatenated_range_bound(history):
+    """(lo, hi) of a LatticeFieldHistory from its tables' rows in one copy.
+
+    Each row (a0, a1, a2, a3) of the level and half-level tables gives
+    a0 -+ (|a1| + |a2| + |a3|), summed along the row; lo and hi are the
+    smallest and largest over every row of both tables.
+    """
+    rows = np.concatenate([history._tables.reshape(-1, 4),
+                           history._half_tables.reshape(-1, 4)])
+    wobble = np.abs(rows[:, 1:]).sum(axis=1)
+    return (float(np.min(rows[:, 0] - wobble)),
+            float(np.max(rows[:, 0] + wobble)))
 
 
 def characteristic_accumulator(b0: Callable, moments, dt: float):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from vlasov_transport.characteristics import (_TIME_SNAP, LatticeFieldHistory,
 from vlasov_transport.phase_space import (DomainExitError, _cubic_table,
                                           build_phase_grid, interp_profile)
 
-from oracles import AnalyticFieldHistory, constant_field_oracle
+from oracles import (AnalyticFieldHistory, concatenated_range_bound,
+                     constant_field_oracle)
 
 
 def test_constant_field_single_step():
@@ -274,6 +276,66 @@ def test_lattice_history_values_stay_in_the_range_bound(levels, nx,
     assert lo <= np.min(values) and hi >= np.max(values)
     if plateau:
         assert max(-lo, hi) > hist.sup_bound()
+
+
+def _same_end(got, want):
+    """One end of two range bounds, bit for bit.
+
+    A NaN end is any NaN.  np.min and np.max pick between -0.0 and +0.0
+    by where each falls in their vector blocks, so the sign of a zero end
+    follows how the rows are laid out, not the formula; a zero end is
+    compared by value.  Every caller widens a bound by a nonzero slack
+    before it compares with it, so that sign reaches nothing.
+    """
+    if math.isnan(want):
+        return math.isnan(got)
+    if want == 0.0:
+        return got == 0.0
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_BOUND_ELEMENTS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-307, 1e-307),                 # subnormal levels
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(4, 12)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_BOUND_ELEMENTS)))
+# one level, whose half table is empty, with a NaN
+@example(np.array([[0.0, 1.0, np.nan, -2.0]]))
+# Direct's two-level step history: the half table's rounding sets hi
+@example(np.array([[-3.2, 0.8, -0.0, 0.8], [-1.3, 0.0, -2.2, 0.6]]))
+def test_range_bound_is_the_concatenated_row_bound(values):
+    grid = build_phase_grid(-1.0, 1.0, 0.0, 1.0, values.shape[1], 4)
+    # inf - inf and overflow in the tables and the wobble warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        hist = LatticeFieldHistory(grid, values, 0.5)
+        want = concatenated_range_bound(hist)
+        got = hist.range_bound()
+    assert _same_end(got[0], want[0]) and _same_end(got[1], want[1])
+    if np.isnan(values).any():
+        assert math.isnan(got[0]) and math.isnan(got[1])
+
+
+def test_range_bound_reads_its_tables_in_place():
+    # 65 levels of 257 nodes, picard_desk's field history.  Picard asks
+    # for the bound while a whole iterate is alive, so its scratch sets
+    # the solve's peak: a quarter of the tables' bytes when it reads them
+    # in place, twice them through a concatenated copy.
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, 257, 4)
+    values = np.sin(np.linspace(0.0, 40.0, 65 * 257)).reshape(65, 257)
+    hist = LatticeFieldHistory(grid, values, 1.0 / 256)
+    tables = hist._tables.nbytes + hist._half_tables.nbytes
+    tracemalloc.start()
+    try:
+        hist.range_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * tables
 
 
 def test_lattice_history_reads_the_last_level_table():
