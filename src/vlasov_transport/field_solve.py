@@ -89,8 +89,9 @@ def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
                        monotone: bool = False) -> TransportField:
     """Rebuild B(t) from the initial field and the moment levels on [0, t].
 
-    moments must be uniformly spaced in time from 0 to t.  With a single
-    level, t must be 0 and the result is B0 sampled on the grid.
+    moments must be uniformly spaced in time from 0 to t (a single level
+    gives B0 on the grid at t = 0).  The trapezoid is a running sum of the
+    reads in the trapezoid's row order, bitwise, with O(nx) scratch.
     """
     if not moments:
         raise ValueError("need at least the level at time 0")
@@ -105,9 +106,12 @@ def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
     for k, m in enumerate(moments):
         if abs(m.time - k * dt) > 1e-9 * max(1.0, abs(t)):
             raise ValueError("moment levels must be uniformly spaced on [0, t]")
-    samples = np.stack([m.at(x - t + k * dt, monotone=monotone)
-                        for k, m in enumerate(moments)])
-    values = b0(x - t) + trapezoid_uniform(samples, dt, axis=0)
+    reads = (m.at(x - t + k * dt, monotone=monotone)
+             for k, m in enumerate(moments))
+    total = (first := next(reads)).copy()
+    for last in reads:
+        total += last
+    values = b0(x - t) + dt * (total - 0.5 * (first + last))
     return TransportField(grid, values, t)
 
 

@@ -322,17 +322,18 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     converged = False
     f_levels = [f0_field] * n_levels
     for _ in range(max_iter):
-        # The history is left unnamed, so a sweep's history and its tables
-        # are freed before the next sweep builds its own; the sweep clears
-        # the previous iterate's levels from f_levels as it goes.  max_iter
-        # >= 1, so the first sweep always runs and binds b_levels.
+        # One history and one copy of each field level: the frozen history's
+        # column a0 is the stack, so the stack and the last sweep's B levels
+        # go before the sweep, and the history after it.  The sweep frees
+        # the last iterate's f levels as it goes.
+        frozen = LatticeFieldHistory(grid, b_stack, dt)
+        b_stack = b_levels = None
         f_levels, b_levels, density_diff = picard_step(
-            LatticeFieldHistory(grid, b_stack, dt), f0, b0, grid, n_levels,
-            dt, f_levels, monotone=monotone)
-        new_b = np.stack([b.values for b in b_levels])
-        field_diffs.append(float(np.max(np.abs(new_b - b_stack))))
+            frozen, f0, b0, grid, n_levels, dt, f_levels, monotone=monotone)
+        b_stack = np.stack([b.values for b in b_levels])
+        field_diffs.append(float(np.max(np.abs(b_stack - frozen.values))))
+        frozen = None
         density_diffs.append(density_diff)
-        b_stack = new_b
         if max(field_diffs[-1], density_diffs[-1]) < tol:
             converged = True
             break

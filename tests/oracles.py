@@ -7,6 +7,8 @@ full_lattice_pde_residual read every density level as its full lattice,
 and the windowed diagnostics must match them bitwise.
 characteristic_accumulator rebuilds every field level of a history from
 one read per moment, and must match field_from_history bitwise.
+stacked_field_rebuild is field_from_history's trapezoid over the stack
+of its moment reads, which the running sum must match bitwise.
 concatenated_range_bound is LatticeFieldHistory.range_bound's row-sum
 formula over one copy of both tables, which the in-place bound must
 match bitwise.  No program path uses them.
@@ -96,6 +98,20 @@ def characteristic_accumulator(b0: Callable, moments, dt: float):
         levels.append(b0(x - j * dt)
                       + dt * (total[ii] - 0.5 * (first[ii] + read[ii])))
     return levels
+
+
+def stacked_field_rebuild(b0: Callable, moments, t: float,
+                          monotone: bool = False) -> np.ndarray:
+    """The node values of B(t) from b0 and the moment levels on [0, t].
+
+    Moment k is read at x - t + k dt, the reads are stacked into a
+    (k + 1) x nx array, and trapezoid_uniform sums it along axis 0.
+    """
+    x = moments[0].grid.x_nodes
+    dt = t / (len(moments) - 1)
+    samples = np.stack([m.at(x - t + k * dt, monotone=monotone)
+                        for k, m in enumerate(moments)])
+    return b0(x - t) + trapezoid_uniform(samples, dt, axis=0)
 
 
 def full_lattice_diagnostics(solution) -> DiagnosticsTrace:

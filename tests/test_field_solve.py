@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vlasov_transport import phase_space
@@ -22,7 +26,7 @@ from vlasov_transport.phase_space import (BumpDensity, BumpField,
 from vlasov_transport.solver import solve_picard
 
 from lattices import grids, lattices, same_bits
-from oracles import characteristic_accumulator
+from oracles import characteristic_accumulator, stacked_field_rebuild
 
 # B^1 for a free-streamed default bump (B0 = 0), from an independent dense
 # double quadrature of the line-integral representation.  Quadrature error
@@ -195,6 +199,75 @@ def test_field_from_history_is_linear_in_the_source():
                                  0.1 * k) for k in range(4)]
         return field_from_history(zero, moments, 0.3).values
     np.testing.assert_allclose(build(3.0), 3.0 * build(1.0), atol=1e-13)
+
+
+# Moment entries of every kind a profile can hold: -0.0, subnormals, NaN
+# and infinities included.
+_MOMENT_ENTRY = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-1e-307, 1e-307),                 # subnormals and zeros
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(2, 40), st.integers(4, 17)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=_MOMENT_ENTRY)),
+       st.sampled_from([0.125, 0.1]),
+       # the longer steps carry the later queries off the axis, where the
+       # moments read zero
+       st.sampled_from([0.02, 0.0625, 0.25, 0.75]),
+       st.booleans())
+# a non-dyadic step, dx = 0.1 and dt = 0.02, over 26 levels
+@example(np.sin(np.arange(26 * 17.0)).reshape(26, 17), 0.1, 0.02, False)
+def test_field_from_history_is_the_stacked_trapezoid(values, dx, dt,
+                                                     monotone):
+    # The running sum adds the reads in the order numpy's axis-0 sum adds
+    # the stack's rows, so it is the stacked trapezoid bit for bit, from
+    # one read of moment k at x - t + k dt.
+    n_levels, nx = values.shape
+    grid = build_phase_grid(0.0, dx * (nx - 1), -1.0, 1.0, nx, 4)
+    t = (n_levels - 1) * dt
+    b0 = BumpField(0.5, 1.0).value
+    calls = []
+    at = MomentProfile.at
+
+    def spy(self, x, monotone=False):
+        calls.append((self, np.array(x)))
+        return at(self, x, monotone=monotone)
+
+    # inf - inf in the tables and the sums warns
+    with np.errstate(invalid="ignore", over="ignore"):
+        moments = [MomentProfile(grid, row, k * dt)
+                   for k, row in enumerate(values)]
+        want = stacked_field_rebuild(b0, moments, t, monotone=monotone)
+        with mock.patch.object(MomentProfile, "at", spy):
+            got = field_from_history(b0, moments, t, monotone=monotone)
+    assert got.values.tobytes() == want.tobytes()
+    assert len(calls) == n_levels
+    step = t / (n_levels - 1)
+    for k, (moment, x) in enumerate(calls):
+        assert moment is moments[k]
+        assert x.tobytes() == (grid.x_nodes - t + k * step).tobytes()
+
+
+def test_field_from_history_sums_its_reads_in_place():
+    # 129 moment levels of 257 nodes, the last field level of a Picard
+    # sweep at 257^2, T = 0.5.  Stacking the reads before summing them
+    # takes 129 nx floats of scratch; the running sum keeps a few.
+    grid = build_phase_grid(-3.0, 3.0, -2.5, 2.5, 257, 4)
+    dt = 1.0 / 256
+    rows = np.sin(np.linspace(0.0, 40.0, 129 * 257)).reshape(129, 257)
+    moments = [MomentProfile(grid, row, k * dt) for k, row in enumerate(rows)]
+    for m in moments:
+        m._table    # built on the first lookup and kept, so build it now
+    b0 = BumpField(0.5, 1.0).value
+    tracemalloc.start()
+    try:
+        field_from_history(b0, moments, 128 * dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * grid.nx * 8
 
 
 def test_free_streaming_field_matches_double_quadrature_oracle():

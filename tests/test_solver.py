@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +247,34 @@ def test_monotone_direct_respects_initial_range():
     for f in history.f_levels:
         assert f.values.min() >= 0.0
         assert f.values.max() <= spec.density().sup_norm
+
+
+def test_picard_sweep_starts_with_the_last_sweeps_fields_freed(monkeypatch):
+    # One copy of each field level: the frozen history holds the last
+    # sweep's field values, so that sweep's TransportField levels are dead
+    # by the time the next sweep starts, and its history by the time the
+    # next one is built.
+    fields, histories = [], []
+    alive_fields, alive_histories = [], []
+    step, build = solver.picard_step, solver.LatticeFieldHistory
+
+    def spy_step(*args, **kwargs):
+        alive_fields.append(sum(ref() is not None for ref in fields))
+        f_levels, b_levels, diff = step(*args, **kwargs)
+        fields.extend(weakref.ref(b) for b in b_levels)
+        return f_levels, b_levels, diff
+
+    def spy_build(*args, **kwargs):
+        alive_histories.append(sum(ref() is not None for ref in histories))
+        history = build(*args, **kwargs)
+        histories.append(weakref.ref(history))
+        return history
+
+    monkeypatch.setattr(solver, "picard_step", spy_step)
+    monkeypatch.setattr(solver, "LatticeFieldHistory", spy_build)
+    _, trace = solve_picard(InitialDataSpec(), _grid(), 0.25, 1.0 / 32.0)
+    assert trace.iterations >= 3
+    assert alive_fields == alive_histories == [0] * trace.iterations
 
 
 def test_monotone_picard_keeps_every_field_above_the_transported_b0():
