@@ -7,10 +7,12 @@ A phase-space trajectory through (x, v) at time t solves
 integrated backward to s = 0 with classical RK4 in uniform substeps.  The
 density at (t, x, v) is then the initial density evaluated at the foot
 point (X(0), V(0)).  The force field along the way comes from a field
-history: a stack of lattice profiles at uniform time levels, interpolated
-linearly in time and cubically in space.  Tracing is data parallel:
-bundles of trajectories are advanced as whole arrays, one RK4 update per
-substep, with no interaction between trajectories.
+history: lattice profiles at uniform time levels and at the halfway
+blends between them, interpolated cubically in space.  Every RK4 step
+spans one level spacing, so its stages read only those times; any other
+time is an error.  Tracing is data parallel: bundles of trajectories are
+advanced as whole arrays, one RK4 update per substep, with no
+interaction between trajectories.
 """
 
 from __future__ import annotations
@@ -28,18 +30,18 @@ _TIME_SNAP = 1e-9
 class LatticeFieldHistory:
     """Field levels on a shared spatial axis at uniform time spacing.
 
-    eval(s, x) blends the two bracketing levels linearly in time and
-    interpolates the blended profile cubically along x.  The history keeps
-    a read-only copy of its levels and builds the power-form tables of
-    every level and of every halfway blend once, at construction.  A time
-    within _TIME_SNAP level spacings of a level or of a half-level reads
-    its table, so the middle stages of an RK4 step land on a cached table
-    even when dt is not dyadic; any other time builds the table of its
-    blend.  range_bound() bounds every value eval can return, overshoot of
-    the cubic between nodes included; sup_bound() is the largest node
-    value only.  Queries outside the spatial axis raise DomainExitError,
-    with the time appended: a trajectory that leaves the truncated domain
-    cannot be integrated further, the domain was sized too small.
+    eval(s, x) interpolates a cached profile cubically along x.  The
+    history keeps a read-only copy of its levels and builds the
+    power-form tables of every level and of every halfway blend once, at
+    construction.  A time within _TIME_SNAP level spacings of a level or
+    of a half-level reads its table, so the middle stages of an RK4 step
+    of one level spacing land on a cached table even when dt is not
+    dyadic; any other time is an error.  range_bound() bounds every value
+    eval can return, overshoot of the cubic between nodes included;
+    sup_bound() is the largest node value only.  Queries outside the
+    spatial axis raise DomainExitError, with the time appended: a
+    trajectory that leaves the truncated domain cannot be integrated
+    further, the domain was sized too small.
     """
 
     def __init__(self, grid: PhaseGrid, values: np.ndarray, dt: float,
@@ -59,8 +61,8 @@ class LatticeFieldHistory:
         self.values = self._tables[..., 0]
         self.dt = float(dt)
         self.t0 = float(t0)
-        # The blends at theta = 1/2, where the two middle stages of an RK4
-        # step of one level spacing land.
+        # The halfway blends, where the two middle stages of an RK4 step
+        # of one level spacing land.
         self._half_tables = _cubic_table(0.5 * self.values[:-1]
                                          + 0.5 * self.values[1:])
         self._range = None
@@ -75,12 +77,11 @@ class LatticeFieldHistory:
     def range_bound(self):
         """(lo, hi) bounding every value eval returns, up to rounding.
 
-        On a cell row, |p(t) - a0| <= |a1| + |a2| + |a3| for t in [0, 1].
-        A blend at any other theta is a pointwise convex combination of
-        two level interpolants, so the rows of the tables bound it too.
-        Worked out on the first call, reading each table in place: the
-        wobble is summed column by column into one array of a column's
-        size, in a row sum's order, and a NaN anywhere reaches both ends.
+        On a cell row, |p(t) - a0| <= |a1| + |a2| + |a3| for t in [0, 1],
+        and eval reads only the rows of the tables.  Worked out on the
+        first call, reading each table in place: the wobble is summed
+        column by column into one array of a column's size, in a row
+        sum's order, and a NaN anywhere reaches both ends.
         """
         if self._range is None:
             los, his = [], []
@@ -96,27 +97,17 @@ class LatticeFieldHistory:
         return self._range
 
     def eval(self, s: float, x):
-        levels = self.values.shape[0]
         pos = (s - self.t0) / self.dt
-        nearest = round(pos)
-        if abs(pos - nearest) <= _TIME_SNAP:
-            pos = float(nearest)
-        if pos < -_TIME_SNAP or pos > (levels - 1) + _TIME_SNAP:
+        if pos < -_TIME_SNAP or pos > self.values.shape[0] - 1 + _TIME_SNAP:
             raise ValueError(
                 f"time {s} outside history range [{self.t0}, {self.t_max}]")
-        pos = min(max(pos, 0.0), float(levels - 1))
-        # int floors, so theta < 1; the last level reads its own table.
-        k = int(pos)
-        theta = pos - k
-        # The interpolant is linear in the node values, so blending the
-        # two levels first costs one lookup instead of two.
-        if theta == 0.0:
-            table = self._tables[k]
-        elif abs(theta - 0.5) <= _TIME_SNAP:
-            table = self._half_tables[k]
-        else:
-            table = _cubic_table((1.0 - theta) * self.values[k]
-                                 + theta * self.values[k + 1])
+        # The nearest level or half-level, in half level spacings.
+        half = round(2.0 * pos)
+        if abs(pos - 0.5 * half) > _TIME_SNAP:
+            raise ValueError(
+                f"time {s} is neither a level nor a half-level of the history")
+        k, odd = divmod(half, 2)
+        table = self._half_tables[k] if odd else self._tables[k]
         try:
             return interp_profile(self.grid.x_min, self.grid.dx, table, x)
         except DomainExitError as exc:

@@ -262,25 +262,25 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
     return float(np.max(np.abs(diff, out=diff)))
 
 
-def picard_step(prev_history: LatticeFieldHistory, f0, b0, grid: PhaseGrid,
-                n_levels: int, dt: float, prev_f: list,
+def picard_step(prev_history: LatticeFieldHistory, f0, b0, prev_f: list,
                 monotone: bool = False):
     """One successive-approximation sweep against a frozen field history.
 
+    Makes one level per level of prev_history, on its grid: level k, at
+    k dt, advects over [0, k dt] with k RK4 steps, one per level spacing.
     Returns the new density levels, the field levels rebuilt from their
     moments, and the sup distance of the new density levels from prev_f,
-    the previous iterate's.  Level k advects over [0, k dt] with k RK4
-    steps, one per interval between stored field levels.  Each entry of
-    prev_f is cleared once compared, so only one previous level is alive
-    next to the new iterate.
+    the previous iterate's.  Each entry of prev_f is cleared once
+    compared, so only one previous level is alive next to the new iterate.
     """
+    grid, dt = prev_history.grid, prev_history.dt
     f_levels = []
     b_levels = []
     moments: list[MomentProfile] = []
     # Per-level maxima, reduced once at the end: the same number as the
     # sup over the stacked difference, NaN included.
     diffs = []
-    for k in range(n_levels):
+    for k in range(prev_history.values.shape[0]):
         t_k = k * dt
         f_k = advect_density(f0, grid, prev_history, t_k, max(1, k))
         diffs.append(_sup_distance(f_k, prev_f[k]))
@@ -329,7 +329,7 @@ def solve_picard(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
         frozen = LatticeFieldHistory(grid, b_stack, dt)
         b_stack = b_levels = None
         f_levels, b_levels, density_diff = picard_step(
-            frozen, f0, b0, grid, n_levels, dt, f_levels, monotone=monotone)
+            frozen, f0, b0, f_levels, monotone=monotone)
         b_stack = np.stack([b.values for b in b_levels])
         field_diffs.append(float(np.max(np.abs(b_stack - frozen.values))))
         frozen = None

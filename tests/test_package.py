@@ -108,6 +108,24 @@ def test_only_profiles_and_field_histories_build_cubic_tables():
     assert sorted(found) == TABLE_OWNERS
 
 
+# A field history builds every table it reads when it is made: eval
+# reads a level's or a half-level's cached table and never builds one.
+def test_field_history_builds_its_tables_at_construction_only():
+    path = Path(vlasov_transport.__file__).parent / "characteristics.py"
+    callers = set()
+    for top in ast.parse(path.read_text()).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "_cubic_table" in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                    name = getattr(node, "name", f"line {node.lineno}")
+                    callers.add(name if top is node
+                                else f"{top.name}.{name}")
+    assert sorted(callers) == ["LatticeFieldHistory.__init__"]
+
+
 # Every cubic profile lookup reads its owner's table: interp_profile takes
 # the table alone, and only the three profile owners reach it.
 PROFILE_OWNERS = ["LatticeFieldHistory.eval", "MomentProfile.at",
