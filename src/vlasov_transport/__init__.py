@@ -23,11 +23,10 @@ from .field_solve import (MomentProfile, density_moment, field_from_history,
 from .solver import (SolutionHistory, PicardTrace, MajorantResult,
                      advect_density, solve_picard, solve_direct,
                      majorant_existence_time)
-from .analysis import (velocity_support, support_infimum,
-                       compute_diagnostics, derivative_rep_check,
-                       scaling_transform, pde_residual,
-                       scenario_monotone_check, continuation_indicator,
-                       holder_quotient, ScenarioHypothesisError)
+from .analysis import (support_infimum, compute_diagnostics,
+                       derivative_rep_check, scaling_transform, pde_residual,
+                       scenario_monotone_check, holder_quotient,
+                       ScenarioHypothesisError)
 from .cli import RunConfig, parse_config, load_config, run_scenario
 from .snapshot import write_snapshot, read_snapshot
 
@@ -40,10 +39,10 @@ __all__ = [
     "density_moment", "field_from_history", "advance_field",
     "conservative_data_constant", "SolutionHistory",
     "PicardTrace", "MajorantResult", "advect_density", "solve_picard",
-    "solve_direct", "majorant_existence_time", "velocity_support",
-    "support_infimum", "compute_diagnostics", "derivative_rep_check",
-    "scaling_transform", "pde_residual", "scenario_monotone_check",
-    "continuation_indicator", "holder_quotient", "ScenarioHypothesisError",
+    "solve_direct", "majorant_existence_time", "support_infimum",
+    "compute_diagnostics", "derivative_rep_check", "scaling_transform",
+    "pde_residual", "scenario_monotone_check", "holder_quotient",
+    "ScenarioHypothesisError",
     "RunConfig", "parse_config", "load_config", "run_scenario",
     "write_snapshot", "read_snapshot",
 ]

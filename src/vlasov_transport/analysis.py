@@ -22,15 +22,13 @@ from .characteristics import trace_states
 from .field_solve import density_moment, trapezoid_uniform
 from .phase_space import (DensityField, PhaseGrid, TransportField, _frame,
                           interp_lattice, place_window)
-from .solver import SolutionHistory, MajorantResult, _support_mask
+from .solver import SolutionHistory, _selected_nodes, _support_mask
 
 __all__ = [
     "ScenarioHypothesisError",
     "DiagnosticsTrace",
     "ScenarioReport",
-    "ContinuationReport",
     "HolderReport",
-    "velocity_support",
     "support_infimum",
     "compute_diagnostics",
     "derivative_rep_check",
@@ -41,7 +39,6 @@ __all__ = [
     "pde_residual",
     "scenario_hypothesis_check",
     "scenario_monotone_check",
-    "continuation_indicator",
     "holder_quotient",
 ]
 
@@ -79,14 +76,6 @@ def _radius(occupied: np.ndarray) -> float:
 
 def _lowest(occupied: np.ndarray) -> float:
     return float(np.min(occupied)) if occupied.size else math.inf
-
-
-def velocity_support(f: DensityField, threshold: float | None = None) -> float:
-    """Radius of the velocity support: max |v| with |f(x, v)| > threshold.
-
-    Returns 0.0 for an empty support.
-    """
-    return _radius(_occupied_velocities(f, threshold))
 
 
 def support_infimum(f: DensityField, threshold: float | None = None) -> float:
@@ -189,8 +178,7 @@ def derivative_rep_check(solution: SolutionHistory, t: float):
     if selection is None:
         return 0.0, 0.0
     rs, cs, mask = selection
-    xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
-    vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
+    xg, vg = _selected_nodes(grid, selection)
     path = [(xg, vg)]      # the path points at levels m, m - 1, ..., 0
     for k in range(m, 0, -1):
         path.append(trace_states(*path[-1], dt * k, dt * (k - 1), hist, 1))
@@ -399,48 +387,6 @@ def scenario_monotone_check(solution: SolutionHistory) -> ScenarioReport:
     passed = (field_min >= -_FIELD_MIN_TOL) and (max_drop <= support_drop_tol)
     return ScenarioReport(passed, field_min, _FIELD_MIN_TOL, infima,
                           max_drop, support_drop_tol)
-
-
-@dataclass(frozen=True)
-class ContinuationReport:
-    """Growth of the derivative sum against a cap and an optional envelope."""
-
-    times: np.ndarray
-    derivative_sum: np.ndarray
-    cap: float
-    flagged: bool
-    first_flagged_level: int | None
-
-    def __bool__(self):
-        # Truthy when continuation looks safe.
-        return not self.flagged
-
-
-def continuation_indicator(trace: DiagnosticsTrace, cap: float | None = None,
-                           majorant: MajorantResult | None = None
-                           ) -> ContinuationReport:
-    """Flag blow-up suspicion from the growth of |dxf| + |dvf| sups.
-
-    The cap defaults to 10^3 times the level-0 sum (or an absolute 1.0
-    floor if that sum vanishes).  With a majorant supplied, levels past
-    its blow-up time or above its envelope are flagged as well.
-    """
-    series = trace.dxf_sup + trace.dvf_sup
-    if cap is None:
-        base = series[0] if series.size and series[0] > 0 else 1.0
-        cap = 1e3 * base
-    flagged_levels = series > cap
-    if majorant is not None:
-        t_ok = majorant.times[-1]
-        envelope = np.interp(trace.times, majorant.times, majorant.values,
-                             right=math.inf)
-        beyond = trace.times > t_ok + 1e-12
-        flagged_levels = flagged_levels | beyond | (series > envelope)
-    if flagged_levels.any():
-        first = int(np.argmax(flagged_levels))
-        return ContinuationReport(trace.times, series, float(cap), True,
-                                  first)
-    return ContinuationReport(trace.times, series, float(cap), False, None)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,13 @@ class BoundReport:
         return self.satisfied
 
 
+def _bound_report(measured: np.ndarray, bound: np.ndarray) -> BoundReport:
+    ratios = measured / bound
+    worst = int(np.argmax(ratios))
+    return BoundReport(bool(np.all(measured <= bound)), float(ratios[worst]),
+                       worst)
+
+
 def conservative_data_constant(f0_sup: float, b0_sup: float) -> float:
     """Data constant C = max(|B0|_inf, 1) * max(2 |f0|_inf, 1).
 
@@ -196,11 +203,7 @@ def field_sup_bound_check(b_sups: np.ndarray, p_series: np.ndarray, dt: float,
     times = dt * np.arange(b_sups.size)
     slack = c * (times * dv + 0.5 * dt * np.abs(p_series - p_series[0])
                  + 1e-12)
-    bound = c * (1.0 + integral) + slack
-    ratios = b_sups / bound
-    worst = int(np.argmax(ratios))
-    return BoundReport(bool(np.all(b_sups <= bound)), float(ratios[worst]),
-                       worst)
+    return _bound_report(b_sups, c * (1.0 + integral) + slack)
 
 
 def field_derivative_bound_check(dxb_sups: np.ndarray, dxf_sups: np.ndarray,
@@ -214,8 +217,4 @@ def field_derivative_bound_check(dxb_sups: np.ndarray, dxf_sups: np.ndarray,
     dxb_sups = np.asarray(dxb_sups, dtype=float)
     dxf_sups = np.asarray(dxf_sups, dtype=float)
     integral = cumtrapz_uniform(dxf_sups, dt)
-    bound = c_t * (1.0 + integral) + 1e-12
-    ratios = dxb_sups / bound
-    worst = int(np.argmax(ratios))
-    return BoundReport(bool(np.all(dxb_sups <= bound)), float(ratios[worst]),
-                       worst)
+    return _bound_report(dxb_sups, c_t * (1.0 + integral) + 1e-12)

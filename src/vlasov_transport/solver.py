@@ -208,6 +208,14 @@ def _support_mask(grid: PhaseGrid, box, t: float, lo: float, hi: float):
             mask[window])
 
 
+def _selected_nodes(grid: PhaseGrid, selection):
+    """Coordinates (x, v) of the nodes of selection = (rows, cols, mask),
+    in the mask's row-major order."""
+    rs, cs, mask = selection
+    return (np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask],
+            np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask])
+
+
 def _traced_level(grid: PhaseGrid, selection, t: float, s_end: float,
                   field, substeps: int, read) -> DensityField:
     """The level at time t that holds read(x0, v0) at the selected nodes.
@@ -220,8 +228,7 @@ def _traced_level(grid: PhaseGrid, selection, t: float, s_end: float,
     block, origin = np.zeros((0, 0)), (0, 0)
     if selection is not None:
         rs, cs, mask = selection
-        xg = np.broadcast_to(grid.x_nodes[rs, None], mask.shape)[mask]
-        vg = np.broadcast_to(grid.v_nodes[None, cs], mask.shape)[mask]
+        xg, vg = _selected_nodes(grid, selection)
         block, origin = np.zeros(mask.shape), (rs.start, cs.start)
         # The feet stay bound until the level is stored: freed sooner, malloc
         # returns pages that the next direct step faults in again.

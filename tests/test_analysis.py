@@ -5,22 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vlasov_transport.analysis import (ContinuationReport, DiagnosticsTrace,
-                                       HolderReport, ScenarioHypothesisError,
+from vlasov_transport.analysis import (DiagnosticsTrace, HolderReport,
+                                       ScenarioHypothesisError,
                                        compute_diagnostics,
-                                       continuation_indicator,
                                        derivative_rep_check, holder_quotient,
                                        pde_residual, scaling_transform,
                                        scenario_monotone_check,
                                        support_infimum,
                                        transform_density_level,
                                        transform_field_level,
-                                       transform_rectangle, velocity_support)
+                                       transform_rectangle)
 from vlasov_transport.phase_space import (DensityField, InitialDataSpec,
                                           PhaseGrid, TransportField,
                                           build_phase_grid)
-from vlasov_transport.solver import (SolutionHistory, majorant_existence_time,
-                                     solve_direct, solve_picard)
+from vlasov_transport.solver import SolutionHistory, solve_direct, solve_picard
 
 from lattices import grids, lattices, same_bits
 from oracles import full_lattice_diagnostics, full_lattice_pde_residual
@@ -40,21 +38,26 @@ def _small_history(values_by_level, grid, dt=0.1, b_values=None):
     return SolutionHistory(grid, dt, f_levels, b_levels)
 
 
+def _support_radius(values, grid):
+    # the radius at the default threshold, as compute_diagnostics reports it
+    diag = compute_diagnostics(_small_history([values], grid))
+    return diag.support_radius[0]
+
+
 def test_velocity_support_conventions():
     grid = build_phase_grid(-1.0, 1.0, -2.0, 2.0, 5, 5)
     values = np.zeros((5, 5))
     values[2, 1] = 0.5        # v = -1
     values[0, 3] = 1e-3       # v = +1
     f = DensityField(grid, values, 0.0)
-    assert velocity_support(f) == 1.0
+    assert _support_radius(values, grid) == 1.0
     assert support_infimum(f) == -1.0
     # threshold above the small entry drops it
-    assert velocity_support(f, threshold=1e-2) == 1.0
     assert support_infimum(f, threshold=1e-2) == -1.0
     values2 = np.zeros((5, 5))
     values2[1, 0] = 2.0       # v = -2 only
     f2 = DensityField(grid, values2, 0.0)
-    assert velocity_support(f2) == 2.0
+    assert _support_radius(values2, grid) == 2.0
     assert support_infimum(f2) == -2.0
 
 
@@ -70,22 +73,24 @@ def test_block_readers_equal_the_full_lattice_formulas(grid, data):
     f = DensityField(grid, values, 0.0)
     sup = np.max(np.abs(values))
     assert same_bits(f.sup_norm(), sup)
+    occupied = _occupied(values, grid, 1e-12 * sup)
+    assert same_bits(_support_radius(values, grid),
+                     np.max(np.abs(occupied)) if occupied.size else 0.0)
     for threshold in (None, 0.0, data.draw(st.floats(0.0, 2.0))):
         occupied = _occupied(values, grid, 1e-12 * sup if threshold is None
                              else threshold)
-        assert same_bits(velocity_support(f, threshold),
-                         np.max(np.abs(occupied)) if occupied.size else 0.0)
         assert same_bits(support_infimum(f, threshold),
                          np.min(occupied) if occupied.size else math.inf)
 
 
 def test_velocity_support_empty_lattice():
     grid = build_phase_grid(-1.0, 1.0, -2.0, 2.0, 5, 5)
-    f = DensityField(grid, np.zeros((5, 5)), 0.0)
-    assert velocity_support(f) == 0.0
+    values = np.zeros((5, 5))
+    f = DensityField(grid, values, 0.0)
+    assert _support_radius(values, grid) == 0.0
     assert math.isinf(support_infimum(f))
     with pytest.raises(ValueError):
-        velocity_support(f, threshold=-1.0)
+        support_infimum(f, threshold=-1.0)
 
 
 def test_compute_diagnostics_on_hand_lattices():
@@ -313,52 +318,6 @@ def test_scenario_check_passes_on_sign_definite_run():
     assert report.field_min >= 0.0
     assert report.max_support_drop <= report.support_drop_tol
     assert all(v > 1.0 for v in report.support_infima)
-
-
-def test_continuation_indicator_stable_series():
-    trace = DiagnosticsTrace(
-        times=np.array([0.0, 0.1, 0.2]),
-        density_sup=np.zeros(3), field_sup=np.zeros(3),
-        field_min=np.zeros(3), field_max=np.zeros(3), mass=np.zeros(3),
-        support_radius=np.zeros(3), support_inf=np.zeros(3),
-        dxf_sup=np.array([1.0, 1.1, 1.2]),
-        dvf_sup=np.array([0.5, 0.5, 0.5]),
-        dxb_sup=np.zeros(3))
-    report = continuation_indicator(trace)
-    assert isinstance(report, ContinuationReport)
-    assert bool(report)
-    assert not report.flagged and report.first_flagged_level is None
-    assert report.cap == pytest.approx(1.5e3)
-
-
-def test_continuation_indicator_flags_growth_and_majorant():
-    trace = DiagnosticsTrace(
-        times=np.array([0.0, 0.5, 1.2]),
-        density_sup=np.zeros(3), field_sup=np.zeros(3),
-        field_min=np.zeros(3), field_max=np.zeros(3), mass=np.zeros(3),
-        support_radius=np.zeros(3), support_inf=np.zeros(3),
-        dxf_sup=np.array([1.0, 1.0, 5000.0]),
-        dvf_sup=np.zeros(3),
-        dxb_sup=np.zeros(3))
-    grown = continuation_indicator(trace)
-    assert grown.flagged and grown.first_flagged_level == 2
-    # majorant for C = 1 blows up at t = 1: the level at t = 1.2 is past
-    # the certified window even though its cap is not hit
-    majorant = majorant_existence_time(1.0, 1e4, ds=1e-3)
-    capped = continuation_indicator(trace, cap=1e6, majorant=majorant)
-    assert capped.flagged and capped.first_flagged_level == 2
-    # envelope violation: series above F at a certified time
-    trace2 = DiagnosticsTrace(
-        times=np.array([0.0, 0.5, 0.8]),
-        density_sup=np.zeros(3), field_sup=np.zeros(3),
-        field_min=np.zeros(3), field_max=np.zeros(3), mass=np.zeros(3),
-        support_radius=np.zeros(3), support_inf=np.zeros(3),
-        dxf_sup=np.array([0.5, 3.0, 4.0]),
-        dvf_sup=np.zeros(3),
-        dxb_sup=np.zeros(3))
-    # F(0.5) = 2: the series value 3.0 exceeds the envelope there
-    enveloped = continuation_indicator(trace2, cap=1e6, majorant=majorant)
-    assert enveloped.flagged and enveloped.first_flagged_level == 1
 
 
 def test_holder_quotient_sin_identity():

@@ -189,3 +189,51 @@ def test_no_level_time_is_a_running_sum():
             if any(getattr(o, "attr", None) == "time" for o in operands):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Every exported name has a program caller: package code other than its
+# own definition, assignment and __all__ (re-exports in __init__.py do not
+# count), the bench harness, or an acceptance criterion.  The bench tracer
+# names its targets as strings ("advance_field", "MomentProfile.at"), so
+# in bench/*.py each dotted part of a string constant counts as a use.
+def _names_used(nodes, strings=False):
+    used = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            used.update(node.value.split("."))
+    return used
+
+
+def _is_all(top):
+    return (isinstance(top, ast.Assign)
+            and [ast.unparse(t) for t in top.targets] == ["__all__"])
+
+
+def test_every_export_has_a_program_caller():
+    package = Path(vlasov_transport.__file__).parent
+    root = Path(__file__).parents[1]
+    exports, bodies = set(), []
+    for path in sorted(package.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        exports.update(n for top in body if _is_all(top)
+                       for n in ast.literal_eval(top.value))
+        if path.name != "__init__.py":
+            bodies.append([top for top in body if not _is_all(top)])
+    used = _names_used([ast.parse(path.read_text())
+                        for path in (root / "bench").glob("*.py")], True)
+    used |= _names_used(
+        [ast.parse((root / "tests" / "test_acceptance.py").read_text())])
+
+    def called_in_package(name):
+        return any(name in _names_used(
+            [top for top in body if getattr(top, "name", None) != name])
+            for body in bodies)
+
+    assert sorted(n for n in exports - used
+                  if not called_in_package(n)) == []

@@ -682,3 +682,74 @@ def test_direct_step_traces_only_nodes_that_can_carry_mass(monkeypatch):
     for a, b in zip(pruned.f_levels + pruned.b_levels,
                     whole.f_levels + whole.b_levels):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@st.composite
+def engine_cases(draw):
+    """(spec, grid, dt, T) for the engine-level properties.
+
+    f0 is a bump of amplitude A <= 1, centre |cx|, |cv| <= 0.5, half-width
+    w <= 0.6 and power 2 to 4; B0 is a bump, gaussian, uniform or zero
+    profile with |B0| <= 0.5; the grid is [-3, 3] x [-2.5, 2.5] at 17^2 or
+    33^2 (dv <= 5/16), and T <= 0.5.
+
+    No trajectory that can carry mass leaves the x-axis.  f is f0 at a
+    foot, so 0 <= f <= A, and if every field met so far is bounded by M,
+    mass at time s sits at velocities within w + s M of cv.  The trapezoid
+    rule over those nodes gives rho(s) <= A (2 w + 2 s M + dv), and
+    B(t, x) = B0(x - t) + int_0^t rho(s, x - t + s) ds, so
+
+        M <= |B0| + A T (2 w + dv) + A T^2 M,
+        M <= (0.5 + 0.5 (1.2 + 5/16)) / (1 - 0.25) < 1.7,
+
+    for the solution and, by induction from M_0 = |B0|, for every Picard
+    iterate.  A trajectory that carries mass then keeps
+    |V| <= |cv| + w + T M < 1.1 + 0.85 < 2.5 and
+    |X| <= |cx| + w + T |V| < 1.1 + 1 < 3, a cell and more inside both
+    axes.  Direct's cubic reads may overshoot A; with f <= 1.5 A the same
+    steps give M < 2.7 and |X| < 2.4.
+    """
+    spec = InitialDataSpec(
+        f0_amplitude=draw(st.floats(0.1, 1.0)),
+        f0_center_x=draw(st.floats(-0.5, 0.5)),
+        f0_center_v=draw(st.floats(-0.5, 0.5)),
+        f0_width=draw(st.floats(0.4, 0.6)),
+        f0_power=draw(st.integers(2, 4)),
+        b0_family=draw(st.sampled_from(["bump", "gaussian", "uniform",
+                                        "zero"])),
+        b0_amplitude=draw(st.floats(-0.5, 0.5)),
+        b0_width=draw(st.floats(0.5, 1.5)))
+    n = draw(st.sampled_from([17, 33]))
+    return (spec, build_phase_grid(-3.0, 3.0, -2.5, 2.5, n, n),
+            draw(st.sampled_from([1.0 / 16.0, 1.0 / 32.0])),
+            draw(st.sampled_from([0.25, 0.5])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(engine_cases(), st.booleans())
+def test_direct_to_half_time_is_the_first_half_of_the_run(case, monotone):
+    # Causality: a Direct level depends on earlier levels only.
+    spec, grid, dt, t_final = case
+    half = solve_direct(spec, grid, t_final / 2, dt, monotone=monotone)
+    whole = solve_direct(spec, grid, t_final, dt, monotone=monotone)
+    assert 2 * (half.n_levels - 1) == whole.n_levels - 1
+    for a, b in zip(half.f_levels, whole.f_levels):
+        assert (a.time, a.origin, a.block_shape) == (b.time, b.origin,
+                                                     b.block_shape)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+    for a, b in zip(half.b_levels, whole.b_levels):
+        assert a.time == b.time
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(engine_cases())
+def test_picard_density_stays_in_the_initial_range(case):
+    # Picard reads f0 at the feet and never interpolates a level, so
+    # 0 <= f <= sup f0 holds exactly on every stored entry.
+    spec, grid, dt, t_final = case
+    history, _ = solve_picard(spec, grid, t_final, dt)
+    sup0 = spec.density().sup_norm
+    for f in history.f_levels:
+        assert np.all((f.data >= 0.0) & (f.data <= sup0))
