@@ -196,6 +196,24 @@ class DensityField:
                             ("data", data), ("mask", mask)):
             object.__setattr__(self, name, value)
 
+    _ENTRIES = ("time", "origin", "block_shape", "data", "mask")
+
+    def _entries(self) -> tuple:
+        """What the level stores, but its grid, for another process to
+        rebuild it with _from_entries."""
+        return tuple(getattr(self, name) for name in self._ENTRIES)
+
+    @classmethod
+    def _from_entries(cls, grid: PhaseGrid, entries) -> "DensityField":
+        """The level whose _entries are entries, on grid, bitwise."""
+        level = object.__new__(cls)
+        object.__setattr__(level, "grid", grid)
+        for name, value in zip(cls._ENTRIES, entries):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(level, name, value)
+        return level
+
     @property
     def slices(self) -> tuple:
         """Row and column slices of the block in the lattice."""

@@ -14,7 +14,12 @@ on a shared grid and uniform time levels:
   points, with no lattice interpolation of f at all), then rebuilds the
   field levels from the new moments via the line-integral representation.
   Iteration stops when the sup norm over all levels of both successive
-  differences drops below a tolerance.
+  differences drops below a tolerance.  Against the frozen history the
+  levels of a sweep do not depend on each other, so a sweep of at least
+  _FORK_LEVELS levels traces its odd levels in a forked child that
+  streams them back through a pipe (_sweep_levels).  The solving process
+  traces the even ones and does everything else in level order, so
+  every level is bitwise the one-process result.
 
 * solve_direct marches level to level.  Each step predicts the next field
   with the current moment used twice, advects the density one step against
@@ -55,8 +60,14 @@ estimates above are known to close.  C = 0 never blows up.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
@@ -269,6 +280,94 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
     return float(np.max(np.abs(diff, out=diff)))
 
 
+# A Picard sweep of at least this many levels traces its odd levels in a
+# forked process.  A fork costs each sweep a few milliseconds of copied
+# pages, and a sweep makes about 2 L^2 field lookups.  Fresh-process
+# solves on a 2-CPU VM (default data, dt = dx/6, tol = 1e-8, medians of 6
+# alternating pairs) set it: forking lost at L = 9 on 129^2 and 257^2
+# (26 -> 44 ms, 28 -> 35 ms) and at L = 21 on 33^2 (111 -> 150 ms), and
+# won at L = 25 on 33^2, 65^2, 97^2 and 129^2 (223 -> 163, 160 -> 130,
+# 134 -> 101 and 178 -> 160 ms).
+_FORK_LEVELS = 25
+
+
+def _forks(n_levels: int) -> bool:
+    """Whether a sweep of n_levels splits its levels between two
+    processes: one of at least _FORK_LEVELS levels, in a process that
+    runs no other Python thread (a fork copies only the calling one), on
+    a platform with os.fork and at least two usable CPUs.  From CPython
+    3.12 on, os.fork warns in a multi-threaded process, and numpy's BLAS
+    keeps a thread, so there every sweep stays in one process."""
+    return (n_levels >= _FORK_LEVELS and sys.version_info < (3, 12)
+            and threading.active_count() == 1
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _stream_levels(make, levels, read_fd: int, write_fd: int):
+    """In a forked child: send make(k) for each k of levels down the pipe
+    (read_fd, write_fd), in order, as a pickled DensityField._entries, and
+    leave through os._exit, so none of the parent's buffers or exit
+    handlers run twice.  An exception from make is sent in the level's
+    place and ends the stream; a write to a closed pipe, whose reader has
+    gone, ends it too.
+    """
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as stream:
+            for k in levels:
+                try:
+                    message = make(k)._entries()
+                except Exception as exc:
+                    message = exc
+                stream.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                stream.flush()
+                if isinstance(message, Exception):
+                    break
+    finally:
+        os._exit(0)
+
+
+@contextlib.contextmanager
+def _sweep_levels(make, grid: PhaseGrid, n_levels: int):
+    """Yields level(k), which returns make(k) for k = 0, 1, ... in turn.
+
+    If _forks, a forked child makes the odd levels against the state it
+    inherits and streams them back, while the caller makes the even ones;
+    level(k) of an odd k reads the child's level k, or raises the
+    exception the child met there, so the first failing level in level
+    order raises.  The child is killed, if it still runs, and reaped on
+    every way out.  make(k) must not depend on what the caller does
+    between levels.
+    """
+    if not _forks(n_levels):
+        yield make
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if not pid:
+        _stream_levels(make, range(1, n_levels, 2), read_fd, write_fd)
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as stream:
+            def level(k):
+                if not k % 2:
+                    return make(k)
+                try:
+                    message = pickle.load(stream)
+                except EOFError:
+                    raise RuntimeError(
+                        f"the process tracing odd levels ended before "
+                        f"level {k}") from None
+                if isinstance(message, Exception):
+                    raise message
+                return DensityField._from_entries(grid, message)
+            yield level
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def picard_step(prev_history: LatticeFieldHistory, f0, b0, prev_f: list,
                 monotone: bool = False):
     """One successive-approximation sweep against a frozen field history.
@@ -279,23 +378,31 @@ def picard_step(prev_history: LatticeFieldHistory, f0, b0, prev_f: list,
     moments, and the sup distance of the new density levels from prev_f,
     the previous iterate's.  Each entry of prev_f is cleared once
     compared, so only one previous level is alive next to the new iterate.
+    The levels' traces do not depend on each other, so a large sweep
+    traces its odd levels in a second process (_sweep_levels); the rest
+    runs here, in level order, and every level is bitwise the same.
     """
     grid, dt = prev_history.grid, prev_history.dt
+    n_levels = prev_history.values.shape[0]
     f_levels = []
     b_levels = []
     moments: list[MomentProfile] = []
     # Per-level maxima, reduced once at the end: the same number as the
     # sup over the stacked difference, NaN included.
     diffs = []
-    for k in range(prev_history.values.shape[0]):
-        t_k = k * dt
-        f_k = advect_density(f0, grid, prev_history, t_k, max(1, k))
-        diffs.append(_sup_distance(f_k, prev_f[k]))
-        prev_f[k] = None
-        f_levels.append(f_k)
-        moments.append(density_moment(f_k))
-        b_levels.append(field_from_history(b0.value, list(moments), t_k,
-                                           monotone=monotone))
+
+    def make(k):
+        return advect_density(f0, grid, prev_history, k * dt, max(1, k))
+
+    with _sweep_levels(make, grid, n_levels) as level:
+        for k in range(n_levels):
+            f_k = level(k)
+            diffs.append(_sup_distance(f_k, prev_f[k]))
+            prev_f[k] = None
+            f_levels.append(f_k)
+            moments.append(density_moment(f_k))
+            b_levels.append(field_from_history(b0.value, list(moments),
+                                               k * dt, monotone=monotone))
     return f_levels, b_levels, float(np.max(diffs))
 
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 import struct
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlasov_transport import cli
+from vlasov_transport import cli, solver
 from vlasov_transport.cli import (_KEYS, ConfigError, RunConfig, load_config,
                                   main, parse_config, run_scenario)
 from vlasov_transport.phase_space import DensityField
@@ -463,15 +464,18 @@ def test_main_run_refuses_scenario_data_before_any_engine_runs(
     assert not (tmp_path / "out").exists()
 
 
+# a uniform pull of 2 turns the fast bump back beyond x = 1.2, so the
+# trajectories that carry its mass back leave the short x-axis
+DOMAIN_EXIT = ("x_min = -1.2\nx_max = 1.2\nb0_family = uniform\n"
+               "b0_amplitude = -2\nf0_center_v = 1.8\nT = 2\n")
+
+
 @pytest.mark.parametrize("engine", ["direct", "picard"])
 def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
                                                    engine):
-    # a uniform pull of 2 turns the fast bump back beyond x = 1.2, so the
-    # trajectories that carry its mass back leave the short x-axis
     cfg = tmp_path / "exit.cfg"
-    cfg.write_text("x_min = -1.2\nx_max = 1.2\nb0_family = uniform\n"
-                   "b0_amplitude = -2\nf0_center_v = 1.8\nT = 2\n"
-                   f"engine = {engine}\nout_dir = {tmp_path / 'out'}\n")
+    cfg.write_text(DOMAIN_EXIT + f"engine = {engine}\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {engine} engine: profile query outside")
@@ -480,6 +484,27 @@ def test_main_run_domain_exit_aborts_with_status_3(tmp_path, capsys,
     assert summary["ok"] is False
     assert summary["aborted"] == err.strip()[len("error: "):]
     assert " at t = " in summary["aborted"]
+
+
+@pytest.mark.skipif(not solver._forks(solver._FORK_LEVELS),
+                    reason="sweeps stay in one process here")
+def test_a_forked_domain_exit_aborts_as_the_in_process_one(tmp_path, capsys,
+                                                          monkeypatch):
+    # the first failing level in level order raises, whichever process
+    # traced it, and the child is reaped
+    cfg = tmp_path / "exit.cfg"
+    cfg.write_text(DOMAIN_EXIT + f"engine = picard\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
+    runs = []
+    for levels in (10 ** 9, 2):
+        monkeypatch.setattr(solver, "_FORK_LEVELS", levels)
+        status = main(["run", str(cfg)])
+        runs.append((status, capsys.readouterr(),
+                     (tmp_path / "out" / "summary.json").read_text()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_main_run_outflow_through_an_x_edge(tmp_path, capsys):

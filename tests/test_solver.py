@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -275,6 +276,93 @@ def test_picard_sweep_starts_with_the_last_sweeps_fields_freed(monkeypatch):
     _, trace = solve_picard(InitialDataSpec(), _grid(), 0.25, 1.0 / 32.0)
     assert trace.iterations >= 3
     assert alive_fields == alive_histories == [0] * trace.iterations
+
+
+FORKS = solver._forks(solver._FORK_LEVELS)
+needs_fork = pytest.mark.skipif(not FORKS,
+                                reason="sweeps stay in one process here")
+
+
+def _counted_forks(monkeypatch) -> list:
+    """The pids of the children that os.fork starts from now on."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("shape, dt, monotone", [
+    ((33, 33), 1.0 / 32.0, False),
+    ((33, 33), 1.0 / 32.0, True),
+    ((61, 51), 0.02, False),        # dx = 0.1: a non-dyadic step
+])
+def test_forked_sweeps_are_bitwise_the_in_process_ones(monkeypatch, shape,
+                                                       dt, monotone):
+    spec, grid = InitialDataSpec(), _grid(*shape)
+    monkeypatch.setattr(solver, "_FORK_LEVELS", 10 ** 9)
+    alone, alone_trace = solve_picard(spec, grid, 0.5, dt, monotone=monotone)
+    monkeypatch.setattr(solver, "_FORK_LEVELS", 2)
+    pids = _counted_forks(monkeypatch)
+    split, split_trace = solve_picard(spec, grid, 0.5, dt, monotone=monotone)
+    assert len(pids) == split_trace.iterations > 1
+    _assert_no_child_left()
+    assert split_trace == alone_trace
+    assert split.n_levels == alone.n_levels
+    for a, b in zip(split.f_levels, alone.f_levels):
+        assert a.grid is grid
+        assert (a.time, a.origin, a.block_shape) == (b.time, b.origin,
+                                                     b.block_shape)
+        assert a.data.dtype == b.data.dtype and a.mask.dtype == b.mask.dtype
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert not (a.data.flags.writeable or a.mask.flags.writeable)
+    for a, b in zip(split.b_levels, alone.b_levels):
+        assert a.time == b.time
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@needs_fork
+def test_a_forked_sweep_reaps_its_child_when_the_parent_raises(monkeypatch):
+    # an interrupt in the parent's own part of the sweep, with the child
+    # still tracing
+    monkeypatch.setattr(solver, "_FORK_LEVELS", 2)
+    pids = _counted_forks(monkeypatch)
+    moments = []
+
+    def interrupted(f):
+        moments.append(f)
+        if len(moments) == 3:
+            raise KeyboardInterrupt
+        return density_moment(f)
+
+    monkeypatch.setattr(solver, "density_moment", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        solve_picard(InitialDataSpec(), _grid(), 0.5, 1.0 / 32.0)
+    assert len(pids) == 1
+    _assert_no_child_left()
+
+
+def test_the_fork_rule_keeps_tiny_sweeps_in_one_process():
+    # bench/tests' 17^2 configs (dt = dx/6 or 1/16, T = 0.25) make 5
+    # levels; picard_coarse (65^2, dt = dx/6, T = 1) makes 65.
+    assert not solver._forks(solver._levels_for(0.25, 0.0625))
+    assert solver._forks(solver._levels_for(1.0, 6.0 / 64.0 / 6.0)) == FORKS
+    if (sys.version_info < (3, 12) and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        assert FORKS
 
 
 def test_monotone_picard_keeps_every_field_above_the_transported_b0():
