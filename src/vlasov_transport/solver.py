@@ -16,10 +16,12 @@ on a shared grid and uniform time levels:
   Iteration stops when the sup norm over all levels of both successive
   differences drops below a tolerance.  Against the frozen history the
   levels of a sweep do not depend on each other, so a sweep of at least
-  _FORK_LEVELS levels traces its odd levels in a forked child that
-  streams them back through a pipe (_sweep_levels).  The solving process
-  traces the even ones and does everything else in level order, so
-  every level is bitwise the one-process result.
+  _FORK_LEVELS levels is split with a forked child (_sweep_levels): each
+  process takes the next unclaimed level from a shared counter whenever
+  it is free, and the child streams the levels it claims back through a
+  pipe.  The solving process traces the levels it claims and does
+  everything else in level order, so every level is bitwise the
+  one-process result.
 
 * solve_direct marches level to level.  Each step predicts the next field
   with the current moment used twice, advects the density one step against
@@ -48,7 +50,9 @@ keeps the previous level in one scratch lattice that each step clears
 block by block and refills by placing the new level, and Picard places
 each new level and the previous iterate's into zeros over the union of
 their blocks (place_window), compares them and drops the old one, so
-one iterate and one level are alive at a time.
+one iterate and one level are alive at a time; in a split sweep, two
+new levels, since the level the solving process claimed waits while the
+child's earlier ones go in.
 
 majorant_existence_time integrates the scalar comparison ODE
 
@@ -65,6 +69,7 @@ import functools
 import math
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
@@ -280,15 +285,18 @@ def _sup_distance(a: DensityField, b: DensityField) -> float:
     return float(np.max(np.abs(diff, out=diff)))
 
 
-# A Picard sweep of at least this many levels traces its odd levels in a
+# A Picard sweep of at least this many levels splits its levels with a
 # forked process.  A fork costs each sweep a few milliseconds of copied
 # pages, and a sweep makes about 2 L^2 field lookups.  Fresh-process
-# solves on a 2-CPU VM (default data, dt = dx/6, tol = 1e-8, medians of 6
-# alternating pairs) set it: forking lost at L = 9 on 129^2 and 257^2
-# (26 -> 44 ms, 28 -> 35 ms) and at L = 21 on 33^2 (111 -> 150 ms), and
-# won at L = 25 on 33^2, 65^2, 97^2 and 129^2 (223 -> 163, 160 -> 130,
-# 134 -> 101 and 178 -> 160 ms).
-_FORK_LEVELS = 25
+# solves on a 2-CPU VM (default data, dt = dx/6, tol = 1e-8; medians of
+# alternating pairs, one process -> split) set it.  At L = 21 the split
+# was lower in 10 of 10 pairs on 33^2, 65^2 and 129^2 (106 -> 82,
+# 111 -> 78, 103 -> 73 ms), and at L = 25 in 5 of 6 on 33^2 and 6 of 6 on
+# 65^2 (178 -> 155, 196 -> 134 ms).  At L = 17 it won on 65^2, 129^2 and
+# 257^2 (10/10, 10/10, 8/8) but not on 33^2 (69 -> 58 ms, 6/10; 129 ->
+# 136 ms, 2/6), and at L = 13 and 9 it lost or tied (33^2 45 -> 53 ms,
+# 3/8; 257^2 29 -> 29 ms, 2/8).
+_FORK_LEVELS = 21
 
 
 def _forks(n_levels: int) -> bool:
@@ -304,18 +312,41 @@ def _forks(n_levels: int) -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _stream_levels(make, levels, read_fd: int, write_fd: int):
-    """In a forked child: send make(k) for each k of levels down the pipe
-    (read_fd, write_fd), in order, as a pickled DensityField._entries, and
-    leave through os._exit, so none of the parent's buffers or exit
-    handlers run twice.  An exception from make is sent in the level's
-    place and ends the stream; a write to a closed pipe, whose reader has
-    gone, ends it too.
+def _claim(token, end: int) -> int:
+    """Claims the next level of a split sweep: reads its number from the
+    token pipe (read_fd, write_fd), whose nonblocking read end holds one
+    8-byte number, and writes the one after it back.  Waits on the token
+    together with end, this process's end of the level pipe, whose POLLHUP
+    or POLLERR says that the other process has gone.  Gone with the token
+    still not back, it died holding it, and this raises EOFError.
+    """
+    watch = select.poll()
+    watch.register(token[0], select.POLLIN)
+    watch.register(end, 0)
+    while True:
+        try:
+            n = int.from_bytes(os.read(token[0], 8), "little")
+        except BlockingIOError:
+            if (token[0] not in dict(watch.poll())
+                    and token[0] not in dict(watch.poll(0))):
+                raise EOFError("the token is lost") from None
+            continue
+        os.write(token[1], (n + 1).to_bytes(8, "little"))
+        return n
+
+
+def _stream_levels(make, n_levels: int, token, read_fd: int, write_fd: int):
+    """In a forked child: claim levels until none is left below n_levels,
+    and send make(k) for each claimed k down the pipe (read_fd, write_fd),
+    in claim order, as a pickled DensityField._entries.  Leaves through
+    os._exit, so none of the parent's buffers or exit handlers run twice.
+    An exception from make is sent in the level's place and ends the
+    stream; a write to a closed pipe, whose reader has gone, ends it too.
     """
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as stream:
-            for k in levels:
+            while (k := _claim(token, write_fd)) < n_levels:
                 try:
                     message = make(k)._entries()
                 except Exception as exc:
@@ -332,40 +363,59 @@ def _stream_levels(make, levels, read_fd: int, write_fd: int):
 def _sweep_levels(make, grid: PhaseGrid, n_levels: int):
     """Yields level(k), which returns make(k) for k = 0, 1, ... in turn.
 
-    If _forks, a forked child makes the odd levels against the state it
-    inherits and streams them back, while the caller makes the even ones;
-    level(k) of an odd k reads the child's level k, or raises the
-    exception the child met there, so the first failing level in level
-    order raises.  The child is killed, if it still runs, and reaped on
-    every way out.  make(k) must not depend on what the caller does
-    between levels.
+    If _forks, the caller and a forked child, which makes its levels
+    against the state it inherits, each claim the next unclaimed level
+    (_claim) whenever free.  The child streams the levels it claims back
+    in claim order.  When the caller needs a level, it claims one, makes
+    it, and returns the child's levels below it, then its own.  level(k)
+    raises the exception that making level k met, whoever made it, so the
+    first failing level in level order raises; it raises RuntimeError if
+    the child has died before level k.  The child is killed, if it still
+    runs, and reaped on every way out.  make(k) must not depend on what
+    the caller does between levels.
     """
     if not _forks(n_levels):
         yield make
         return
+    token = os.pipe()
+    os.set_blocking(token[0], False)
+    os.write(token[1], (0).to_bytes(8, "little"))
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if not pid:
-        _stream_levels(make, range(1, n_levels, 2), read_fd, write_fd)
+        _stream_levels(make, n_levels, token, read_fd, write_fd)
     try:
         os.close(write_fd)
         with os.fdopen(read_fd, "rb") as stream:
+            mine = (-1, None)       # the caller's last claim and its make()
+
             def level(k):
-                if not k % 2:
-                    return make(k)
+                nonlocal mine
                 try:
-                    message = pickle.load(stream)
-                except EOFError:
+                    if k > mine[0]:
+                        j = _claim(token, read_fd)
+                        try:
+                            mine = (j, make(j) if j < n_levels else None)
+                        except Exception as exc:
+                            mine = (j, exc)
+                    j, made = mine
+                    if k < j:
+                        made = pickle.load(stream)
+                        if not isinstance(made, Exception):
+                            made = DensityField._from_entries(grid, made)
+                except (EOFError, pickle.UnpicklingError):
                     raise RuntimeError(
-                        f"the process tracing odd levels ended before "
+                        f"the forked process of the sweep ended before "
                         f"level {k}") from None
-                if isinstance(message, Exception):
-                    raise message
-                return DensityField._from_entries(grid, message)
+                if isinstance(made, Exception):
+                    raise made
+                return made
             yield level
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+        for fd in token:
+            os.close(fd)
 
 
 def picard_step(prev_history: LatticeFieldHistory, f0, b0, prev_f: list,
@@ -378,8 +428,8 @@ def picard_step(prev_history: LatticeFieldHistory, f0, b0, prev_f: list,
     moments, and the sup distance of the new density levels from prev_f,
     the previous iterate's.  Each entry of prev_f is cleared once
     compared, so only one previous level is alive next to the new iterate.
-    The levels' traces do not depend on each other, so a large sweep
-    traces its odd levels in a second process (_sweep_levels); the rest
+    The levels' traces do not depend on each other, so in a large sweep a
+    second process traces the levels it claims (_sweep_levels); the rest
     runs here, in level order, and every level is bitwise the same.
     """
     grid, dt = prev_history.grid, prev_history.dt

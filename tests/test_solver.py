@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -193,15 +194,20 @@ print((after - before) * unit / (history.n_levels * grid.nx * grid.nv * 8))
 """
 
 
-def _rss_share(probe: str) -> float:
-    pytest.importorskip("resource")
+def _probe(script: str, *args: str) -> str:
+    """The stdout of script, run on the package in a fresh interpreter."""
     package_root = os.path.dirname(os.path.dirname(vlasov_transport.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return float(done.stdout)
+    return done.stdout
+
+
+def _rss_share(probe: str) -> float:
+    pytest.importorskip("resource")
+    return float(_probe(probe))
 
 
 def test_direct_levels_are_resident_only_on_their_support():
@@ -318,10 +324,17 @@ def test_forked_sweeps_are_bitwise_the_in_process_ones(monkeypatch, shape,
     split, split_trace = solve_picard(spec, grid, 0.5, dt, monotone=monotone)
     assert len(pids) == split_trace.iterations > 1
     _assert_no_child_left()
+    _assert_same_solve((split, split_trace), (alone, alone_trace))
+
+
+def _assert_same_solve(split, alone):
+    """Two solve_picard results hold the same PicardTrace and bitwise the
+    same f and B levels."""
+    (split, split_trace), (alone, alone_trace) = split, alone
     assert split_trace == alone_trace
     assert split.n_levels == alone.n_levels
     for a, b in zip(split.f_levels, alone.f_levels):
-        assert a.grid is grid
+        assert a.grid is split.grid
         assert (a.time, a.origin, a.block_shape) == (b.time, b.origin,
                                                      b.block_shape)
         assert a.data.dtype == b.data.dtype and a.mask.dtype == b.mask.dtype
@@ -352,6 +365,100 @@ def test_a_forked_sweep_reaps_its_child_when_the_parent_raises(monkeypatch):
         solve_picard(InitialDataSpec(), _grid(), 0.5, 1.0 / 32.0)
     assert len(pids) == 1
     _assert_no_child_left()
+
+
+# Runs a split 33^2 solve (17 levels a sweep) in which the child dies:
+# "make" SIGKILLs it in the first level it makes, "claim" ends it in its
+# first claim after it has read the token and before it writes it back.
+# The child prints the level it took; the solving process prints what it
+# raised and whether a child is left.
+DEAD_CHILD = """
+import os, signal, sys
+from vlasov_transport import solver
+from vlasov_transport.phase_space import InitialDataSpec, build_phase_grid
+solver._FORK_LEVELS = 2
+parent, advect, claim = os.getpid(), solver.advect_density, solver._claim
+
+
+def advect_density(f0, grid, field, t, substeps):
+    if os.getpid() != parent:
+        print(round(t * 32), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return advect(f0, grid, field, t, substeps)
+
+
+def _claim(token, end):
+    while os.getpid() != parent:
+        try:
+            taken = os.read(token[0], 8)
+        except BlockingIOError:     # the solving process holds it
+            continue
+        print(int.from_bytes(taken, "little"), flush=True)
+        os._exit(0)
+    return claim(token, end)
+
+
+if sys.argv[1] == "make":
+    solver.advect_density = advect_density
+else:
+    solver._claim = _claim
+try:
+    solver.solve_picard(InitialDataSpec(),
+                        build_phase_grid(-3.0, 3.0, -2.5, 2.5, 33, 33),
+                        0.5, 1.0 / 32.0)
+except RuntimeError as exc:
+    print(type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["make", "claim"])
+def test_a_dead_child_raises_at_the_level_it_took(where):
+    # In a fresh interpreter with a timeout, so a hang fails the test.
+    taken, raised, left = _probe(DEAD_CHILD, where).splitlines()
+    assert raised == ("RuntimeError the forked process of the sweep ended "
+                      f"before level {int(taken)}")
+    assert left == "no child left"
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", [{3}, {4, 7}, {16}, set(range(3, 17))])
+@pytest.mark.parametrize("slowed", [False, True])
+def test_the_first_failing_level_raises_whoever_made_it(monkeypatch, failing,
+                                                       slowed):
+    # 17 levels a sweep.  Rebuilding the fields slowly leaves most levels
+    # to the child; unslowed, the solving process takes about 40%.  With
+    # every level from 3 on failing, the child nearly always takes level 3
+    # and stops there, and the solving process meets its own failure
+    # later in level order.
+    dt, advect = 1.0 / 32.0, solver.advect_density
+
+    def failing_advect(f0, grid, field, t, substeps):
+        if round(t / dt) in failing:
+            raise DomainExitError(f"a trace of level {round(t / dt)} left")
+        return advect(f0, grid, field, t, substeps)
+
+    monkeypatch.setattr(solver, "advect_density", failing_advect)
+    if slowed:
+        rebuild = solver.field_from_history
+
+        def slow_rebuild(*args, **kwargs):
+            time.sleep(0.002)
+            return rebuild(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "field_from_history", slow_rebuild)
+    raised = []
+    for fork_levels in (10 ** 9, 2):
+        monkeypatch.setattr(solver, "_FORK_LEVELS", fork_levels)
+        with pytest.raises(DomainExitError) as info:
+            solve_picard(InitialDataSpec(), _grid(), 0.5, dt)
+        raised.append(str(info.value))
+    _assert_no_child_left()
+    assert raised == [f"a trace of level {min(failing)} left"] * 2
 
 
 def test_the_fork_rule_keeps_tiny_sweeps_in_one_process():
@@ -841,3 +948,18 @@ def test_picard_density_stays_in_the_initial_range(case):
     sup0 = spec.density().sup_norm
     for f in history.f_levels:
         assert np.all((f.data >= 0.0) & (f.data <= sup0))
+
+
+@needs_fork
+@settings(max_examples=25, deadline=None)
+@given(engine_cases(), st.booleans())
+def test_a_split_sweep_is_bitwise_the_one_process_sweep(case, monotone):
+    spec, grid, dt, t_final = case
+    solves = []
+    with pytest.MonkeyPatch.context() as patch:
+        for fork_levels in (10 ** 9, 2):
+            patch.setattr(solver, "_FORK_LEVELS", fork_levels)
+            solves.append(solve_picard(spec, grid, t_final, dt,
+                                       monotone=monotone))
+    _assert_no_child_left()
+    _assert_same_solve(solves[1], solves[0])
