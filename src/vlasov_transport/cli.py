@@ -8,8 +8,9 @@ writes the per-level diagnostics trace, the enabled diagnostic tables,
 requested binary snapshots, and a JSON summary with a pass/fail verdict
 for every invariant check.  The process exits 0 when every enabled check
 passes, 1 when one fails, 2 on a bad config or input file, and 3 when an
-engine aborts because a trajectory left the spatial axis; an aborted run
-still writes a summary.json that records the abort.  Outputs are
+engine aborts because a trajectory left the spatial axis or the forked
+process of a split Picard sweep died; an aborted run still writes a
+summary.json that records the abort.  Outputs are
 deterministic: running the same config twice produces byte-identical
 files.
 
@@ -45,8 +46,8 @@ from .phase_space import (DensityField, DomainExitError, InitialDataSpec,
                           TransportField, build_phase_grid,
                           sample_initial_data)
 from .snapshot import read_snapshot, write_snapshot
-from .solver import (_levels_for, majorant_existence_time, solve_direct,
-                     solve_picard)
+from .solver import (SweepProcessError, _levels_for, majorant_existence_time,
+                     solve_direct, solve_picard)
 
 __all__ = ["ConfigError", "RunConfig", "RunArtifacts", "parse_config",
            "load_config", "run_scenario", "main"]
@@ -58,6 +59,8 @@ MASS_DRIFT_TOL = 1e-4
 DIRECT_SUP_REL_TOL = 1e-6
 EXACT_SUP_TOL = 1e-12
 CROSS_ENGINE_CONST = 50.0
+
+_ENGINE_ABORTS = (DomainExitError, SweepProcessError)
 
 
 class ConfigError(ValueError):
@@ -294,8 +297,8 @@ def _run_engines(config: RunConfig):
             results["direct"] = solve_direct(spec, grid, config.t_final,
                                              config.dt,
                                              monotone=config.interp_monotone)
-    except DomainExitError as exc:
-        raise DomainExitError(f"{engine} engine: {exc}") from exc
+    except _ENGINE_ABORTS as exc:
+        raise type(exc)(f"{engine} engine: {exc}") from exc
     return spec, results, picard_trace
 
 
@@ -348,10 +351,10 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
 
     out_dir overrides config.out_dir when given.  Returns the artifact
     listing with the outcome of every enabled check; raises on config,
-    hypothesis, or domain errors.  With diag_scenario set, the scenario's
-    hypotheses are checked on the sampled level 0 before any engine runs
-    or any file is written.  A domain error first leaves a summary.json
-    with "ok": false and its message under "aborted".
+    hypothesis, domain or sweep errors.  With diag_scenario set, the
+    scenario's hypotheses are checked on the sampled level 0 before any
+    engine runs or any file is written.  An engine abort first leaves a
+    summary.json with "ok": false and its message under "aborted".
     """
     if config.diag_scenario:
         scenario_hypothesis_check(
@@ -361,7 +364,7 @@ def run_scenario(config: RunConfig, out_dir=None) -> RunArtifacts:
     _padding_advisory(config)
     try:
         spec, results, picard_trace = _run_engines(config)
-    except DomainExitError as exc:
+    except _ENGINE_ABORTS as exc:
         _write_summary(out, {"aborted": str(exc), "ok": False})
         raise
     checks: dict = {}
@@ -573,7 +576,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainExitError as exc:
+    except _ENGINE_ABORTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -7,12 +7,14 @@ representation
     B(t, x) = B0(x - t) + int_0^t rho(s, x - t + s) ds,
 
 and differentiating it in x gives the same quadrature applied to the
-spatial derivative of the density.  All time integrals here use the
-composite trapezoid rule on the uniform level spacing; spatial evaluation
-between nodes uses the cubic lattice interpolation from phase_space.
-Moment profiles read as zero outside their axis (they inherit the
-density's compact support); the initial field is closed-form and defined
-everywhere, so it is also the field's inflow at the left edge of the axis.
+spatial derivative of the density.  Picard rebuilds each level from the
+whole moment history (field_from_history), Direct takes one step at a time
+(advance_field).  All time integrals here use the composite trapezoid rule
+on the uniform level spacing; spatial evaluation between nodes uses the
+cubic lattice interpolation from phase_space.  Moment profiles read as
+zero outside their axis (they inherit the density's compact support); the
+initial field is closed-form and defined everywhere, so it is also the
+field's inflow at the left edge of the axis.
 """
 
 from __future__ import annotations
@@ -115,29 +117,19 @@ def field_from_history(b0, moments: Sequence[MomentProfile], t: float,
     return TransportField(grid, values, t)
 
 
-def advance_field(b_t: TransportField, rho_t: MomentProfile,
-                  rho_next: MomentProfile, dt: float, b0,
-                  monotone: bool = False) -> TransportField:
-    """One transport step of the field:
+def advance_field(b_t: TransportField, rho_t: MomentProfile, dt: float, b0,
+                  monotone: bool = False):
+    """One transport step of the field from t = b_t.time:
 
         B(t+dt, x) = B(t, x-dt) + dt/2 * (rho(t, x-dt) + rho(t+dt, x)).
 
-    Composing steps from t = 0 reproduces field_from_history exactly when
-    dt is a whole number of cells (the shifted points then land on nodes).
-    x - dt drops off the left edge of the axis for the first few nodes.
-    The moment vanishes there on a truncated axis, so the representation
-    leaves B(t, y) = B0(y - t) as the only inflow: those nodes read the
-    initial field family b0.
+    Reads B(t, x-dt) and rho(t, x-dt) once and returns finish(rho_end,
+    time): the level at the caller's time, with rho_end for rho(t+dt).
+    Steps composed from t = 0 reproduce field_from_history exactly when dt
+    is a whole number of cells.  Where x - dt leaves the axis the moment
+    vanishes, so B(t, y) = B0(y - t) is the only inflow: those nodes read
+    b0.value(x - dt - t).
     """
-    shift = _field_shift(b_t, rho_t, dt, b0, monotone=monotone)
-    return _finish_field(shift, rho_next, dt, rho_next.time)
-
-
-def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float, b0,
-                 monotone: bool = False):
-    """(B(t, x-dt), rho(t, x-dt)) on the nodes: the part of advance_field
-    that does not read rho(t+dt), for callers that finish it twice.  Left
-    of the axis B(t, y) is the inflow b0.value(y - t)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = b_t.grid
@@ -148,16 +140,13 @@ def _field_shift(b_t: TransportField, rho_t: MomentProfile, dt: float, b0,
     b_shift[:split] = b0.value(shifted[:split] - b_t.time)
     b_shift[split:] = b_t.at(np.clip(shifted[split:], grid.x_min, None),
                              monotone=monotone)
-    return b_shift, rho_t.at(shifted, monotone=monotone)
+    rho_shift = rho_t.at(shifted, monotone=monotone)
 
+    def finish(rho_end: MomentProfile, time: float) -> TransportField:
+        return TransportField(
+            grid, b_shift + 0.5 * dt * (rho_shift + rho_end.values), time)
 
-def _finish_field(shift, rho_next: MomentProfile, dt: float,
-                  time: float) -> TransportField:
-    """B at the caller's level time from _field_shift's pair and rho_next."""
-    b_shift, rho_shift = shift
-    return TransportField(rho_next.grid,
-                          b_shift + 0.5 * dt * (rho_shift + rho_next.values),
-                          time)
+    return finish
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ on a shared grid and uniform time levels:
   everything else in level order, so every level is bitwise the
   one-process result.
 
-* solve_direct marches level to level.  Each step predicts the next field
-  with the current moment used twice, advects the density one step against
+* solve_direct marches level to level.  Each step takes one field step
+  (advance_field) and finishes it twice: it predicts the next field with
+  the current moment used twice, advects the density one step against
   the predicted field (one semi-Lagrangian lattice interpolation per
   step), then applies one trapezoid corrector with the new moment.
 
@@ -79,8 +80,8 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import LatticeFieldHistory, trace_states
-from .field_solve import (MomentProfile, _field_shift, _finish_field,
-                          density_moment, field_from_history)
+from .field_solve import (MomentProfile, advance_field, density_moment,
+                          field_from_history)
 from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
                           _bounding_slices, _read_range, _reads_nonzero,
                           interp_lattice, place_window, sample_initial_data)
@@ -88,6 +89,7 @@ from .phase_space import (DensityField, InitialDataSpec, PhaseGrid,
 __all__ = [
     "SolutionHistory",
     "PicardTrace",
+    "SweepProcessError",
     "MajorantResult",
     "advect_density",
     "solve_picard",
@@ -135,6 +137,10 @@ class PicardTrace:
     density_diffs: tuple
     iterations: int
     converged: bool
+
+
+class SweepProcessError(RuntimeError):
+    """The forked process of a split Picard sweep ended too soon."""
 
 
 @dataclass(frozen=True)
@@ -369,19 +375,26 @@ def _sweep_levels(make, grid: PhaseGrid, n_levels: int):
     in claim order.  When the caller needs a level, it claims one, makes
     it, and returns the child's levels below it, then its own.  level(k)
     raises the exception that making level k met, whoever made it, so the
-    first failing level in level order raises; it raises RuntimeError if
-    the child has died before level k.  The child is killed, if it still
-    runs, and reaped on every way out.  make(k) must not depend on what
-    the caller does between levels.
+    first failing level in level order raises; it raises SweepProcessError
+    if the child has died before level k.  The child is killed, if it
+    still runs, and reaped on every way out.  If a pipe or the fork fails,
+    what was opened is closed and level is make.  make(k) must not depend
+    on what the caller does between levels.
     """
-    if not _forks(n_levels):
+    pid, opened = None, []
+    with contextlib.suppress(OSError):
+        if _forks(n_levels):
+            opened += (token := os.pipe())
+            os.set_blocking(token[0], False)
+            os.write(token[1], (0).to_bytes(8, "little"))
+            read_fd, write_fd = os.pipe()
+            opened += read_fd, write_fd
+            pid = os.fork()
+    if pid is None:
+        for fd in opened:
+            os.close(fd)
         yield make
         return
-    token = os.pipe()
-    os.set_blocking(token[0], False)
-    os.write(token[1], (0).to_bytes(8, "little"))
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
     if not pid:
         _stream_levels(make, n_levels, token, read_fd, write_fd)
     try:
@@ -404,7 +417,7 @@ def _sweep_levels(make, grid: PhaseGrid, n_levels: int):
                         if not isinstance(made, Exception):
                             made = DensityField._from_entries(grid, made)
                 except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(
+                    raise SweepProcessError(
                         f"the forked process of the sweep ended before "
                         f"level {k}") from None
                 if isinstance(made, Exception):
@@ -515,8 +528,8 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     Per step: predict B(t+dt) from the transport update with rho(t) used
     for both trapezoid ends, advect the density one semi-Lagrangian step
     against the predicted field, then correct B(t+dt) with the trapezoid
-    of rho(t) and the new moment.  The predictor and the corrector share
-    B(t, x-dt) and rho(t, x-dt), so those are interpolated once per step.
+    of rho(t) and the new moment.  Both finish one advance_field step,
+    which interpolates B(t, x-dt) and rho(t, x-dt) once.
     The density advection interpolates the previous lattice once per step
     (cubic, or monotone-clipped).
 
@@ -547,14 +560,14 @@ def solve_direct(spec: InitialDataSpec, grid: PhaseGrid, t_final: float,
     for k in range(n_levels - 1):
         # The loop owns the level times: t_k = k dt, never a running sum.
         t, t_next = k * dt, (k + 1) * dt
-        shift = _field_shift(b_k, rho_k, dt, b0, monotone=monotone)
-        b_pred = _finish_field(shift, rho_k, dt, t_next)
+        step = advance_field(b_k, rho_k, dt, b0, monotone=monotone)
+        b_pred = step(rho_k, t_next)
         step_hist = LatticeFieldHistory(
             grid, np.stack([b_k.values, b_pred.values]), dt, t0=t)
         f_next, box = _advect_lattice_step(f_k, lattice, box, step_hist, t,
                                            t_next, monotone)
         rho_next = density_moment(f_next)
-        b_next = _finish_field(shift, rho_next, dt, t_next)
+        b_next = step(rho_next, t_next)
         f_levels.append(f_next)
         b_levels.append(b_next)
         f_k, b_k, rho_k = f_next, b_next, rho_next

@@ -3,6 +3,8 @@ import logging
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +507,57 @@ def test_a_forked_domain_exit_aborts_as_the_in_process_one(tmp_path, capsys,
     assert runs[0][0] == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Runs the CLI on a split 33^2 Picard solve whose forked child SIGKILLs
+# itself in the first level it makes, after printing that level's number.
+# Then prints whether a child is left, and exits with main's status.
+DEAD_CHILD_RUN = """
+import os, signal, sys
+from vlasov_transport import cli, solver
+solver._FORK_LEVELS = 2
+parent, advect = os.getpid(), solver.advect_density
+
+
+def advect_density(f0, grid, field, t, substeps):
+    if os.getpid() != parent:
+        print(round(t * 32), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return advect(f0, grid, field, t, substeps)
+
+
+solver.advect_density = advect_density
+status = cli.main(["run", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(status)
+"""
+
+
+@pytest.mark.skipif(not solver._forks(solver._FORK_LEVELS),
+                    reason="sweeps stay in one process here")
+def test_a_dead_sweep_child_aborts_the_run_with_status_3(tmp_path):
+    # In a fresh interpreter with a timeout, so a hang fails the test.
+    cfg = tmp_path / "dead.cfg"
+    cfg.write_text(TINY_BOTH.replace("both", "picard")
+                   + f"out_dir = {tmp_path / 'out'}\n")
+    package_root = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", DEAD_CHILD_RUN, str(cfg)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    taken, left = done.stdout.splitlines()
+    message = ("picard engine: the forked process of the sweep ended "
+               f"before level {int(taken)}")
+    assert (done.returncode, done.stderr) == (3, f"error: {message}\n")
+    assert left == "no child left"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary == {"aborted": message, "ok": False}
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "summary.json"]
 
 
 def test_main_run_outflow_through_an_x_edge(tmp_path, capsys):

@@ -330,7 +330,8 @@ def test_advance_field_composition_matches_representation():
     moments = [moment_at(k * dt) for k in range(steps + 1)]
     b = TransportField(grid, b0.value(grid.x_nodes), 0.0)
     for k in range(steps):
-        b = advance_field(b, moments[k], moments[k + 1], dt, b0)
+        b = advance_field(b, moments[k], dt, b0)(moments[k + 1],
+                                                 moments[k + 1].time)
     reference = field_from_history(b0.value, moments, steps * dt)
     assert np.max(np.abs(b.values - reference.values)) <= 1e-12
     assert b.time == pytest.approx(steps * dt)
@@ -345,14 +346,14 @@ def test_advance_field_reads_the_transported_b0_left_of_the_axis():
     rho = MomentProfile(grid, np.zeros(grid.nx), t)
     rho_next = MomentProfile(grid, np.zeros(grid.nx), t + dt)
     b = TransportField(grid, b0.value(grid.x_nodes - t), t)
-    stepped = advance_field(b, rho, rho_next, dt, b0)
+    stepped = advance_field(b, rho, dt, b0)(rho_next, rho_next.time)
     left = grid.x_nodes - dt < grid.x_min
     assert left.sum() == 2
     want = b0.value(grid.x_nodes[left] - dt - t)
     assert stepped.values[left].tobytes() == want.tobytes()
     rho = MomentProfile(grid, np.zeros(grid.nx), 0.0)
     b = TransportField(grid, np.ones(grid.nx), 0.0)
-    stepped = advance_field(b, rho, rho, 0.1, UniformField(1.0))
+    stepped = advance_field(b, rho, 0.1, UniformField(1.0))(rho, 0.1)
     np.testing.assert_allclose(stepped.values, 1.0, atol=1e-14)
 
 
@@ -360,8 +361,9 @@ def test_advance_field_rejects_bad_dt():
     grid = _grid(nx=9, nv=4)
     rho = MomentProfile(grid, np.zeros(9), 0.0)
     b = TransportField(grid, np.zeros(9), 0.0)
-    with pytest.raises(ValueError):
-        advance_field(b, rho, rho, 0.0, ZeroField())
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            advance_field(b, rho, dt, ZeroField())
 
 
 def test_field_derivative_rep_zero_density():

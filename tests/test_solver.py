@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -420,9 +421,44 @@ except ChildProcessError:
 def test_a_dead_child_raises_at_the_level_it_took(where):
     # In a fresh interpreter with a timeout, so a hang fails the test.
     taken, raised, left = _probe(DEAD_CHILD, where).splitlines()
-    assert raised == ("RuntimeError the forked process of the sweep ended "
-                      f"before level {int(taken)}")
+    assert raised == ("SweepProcessError the forked process of the sweep "
+                      f"ended before level {int(taken)}")
     assert left == "no child left"
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["token pipe", "level pipe", "fork"])
+def test_a_failed_fork_makes_the_sweep_here_and_leaks_nothing(monkeypatch,
+                                                              failing):
+    # every sweep's token pipe, level pipe or fork fails: each sweep then
+    # makes its levels in this process, with no descriptor left open
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    spec, grid, dt = InitialDataSpec(), _grid(), 1.0 / 32.0
+    monkeypatch.setattr(solver, "_FORK_LEVELS", 10 ** 9)
+    alone = solve_picard(spec, grid, 0.5, dt)
+    monkeypatch.setattr(solver, "_FORK_LEVELS", 2)
+    pipes, pipe = [], os.pipe
+
+    def failing_pipe():
+        pipes.append(len(pipes) % 2)
+        if failing == "token pipe" or (failing, pipes[-1]) == ("level pipe",
+                                                              1):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    split = solve_picard(spec, grid, 0.5, dt)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    sweeps = split[1].iterations
+    assert len(pipes) == (sweeps if failing == "token pipe" else 2 * sweeps)
+    _assert_no_child_left()
+    _assert_same_solve(split, alone)
 
 
 @needs_fork
@@ -615,18 +651,56 @@ def test_every_level_is_stamped_k_dt(dt):
 ])
 def test_direct_field_levels_are_advance_field_steps(spec, grid, t_final, dt,
                                                      monotone):
-    # Direct finishes each step's shift twice, but its stored level is the
-    # public one-step update from the level before, bitwise
+    # Direct finishes each step twice, but its stored level is the step
+    # from the level before finished with the new moment, bitwise
     history = solve_direct(spec, grid, t_final, dt, monotone=monotone)
     b0 = spec.field()
     for k in range(history.n_levels - 1):
-        want = advance_field(history.b_levels[k],
-                             density_moment(history.f_levels[k]),
-                             density_moment(history.f_levels[k + 1]), dt, b0,
+        step = advance_field(history.b_levels[k],
+                             density_moment(history.f_levels[k]), dt, b0,
                              monotone)
+        want = step(density_moment(history.f_levels[k + 1]), (k + 1) * dt)
         got = history.b_levels[k + 1]
         assert got.time == want.time
         assert got.values.tobytes() == want.values.tobytes(), k
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_direct_takes_one_field_step_and_finishes_it_twice(monkeypatch,
+                                                           monotone):
+    # per step: one advance_field from the stored level and its moment,
+    # finished as predictor with that moment, then as corrector with the
+    # new level's, which gives the stored level
+    calls = []
+
+    def spy(b_t, rho_t, dt, b0, monotone=False):
+        finish = advance_field(b_t, rho_t, dt, b0, monotone=monotone)
+        finished = []
+        calls.append((b_t, rho_t, dt, monotone, finished))
+
+        def spied(rho_end, time):
+            finished.append((rho_end, time, finish(rho_end, time)))
+            return finished[-1][2]
+        return spied
+
+    monkeypatch.setattr(solver, "advance_field", spy)
+    dt = 1.0 / 32.0
+    history = solve_direct(InitialDataSpec(), _grid(), 0.25, dt,
+                           monotone=monotone)
+    assert len(calls) == history.n_levels - 1 == 8
+    for k, (b_t, rho_t, step_dt, flag, finished) in enumerate(calls):
+        assert b_t is history.b_levels[k]
+        assert (step_dt, flag) == (dt, monotone)
+        want = density_moment(history.f_levels[k])
+        assert rho_t.values.tobytes() == want.values.tobytes()
+        (rho_pred, t_pred, _), (rho_next, t_next, b_next) = finished
+        assert rho_pred is rho_t
+        assert t_pred == t_next == (k + 1) * dt
+        want = density_moment(history.f_levels[k + 1])
+        assert rho_next.values.tobytes() == want.values.tobytes()
+        assert b_next is history.b_levels[k + 1]
+        if k + 1 < len(calls):
+            assert calls[k + 1][1] is rho_next
 
 
 def test_field_history_roundtrip_is_bitwise():
